@@ -15,7 +15,7 @@ from itertools import combinations
 
 from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
 from trackpaths.kernel import SigmaConfig, lower_bound_maxdeg
-from trackpaths.paths import edge_on_st_path
+from trackpaths.paths import st_path_edges
 from trackpaths.rdivision import RDivision, Region, relaxed_r_division
 from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
@@ -127,15 +127,12 @@ def pi_subgraph(
     for b1, b2 in combinations(boundary, 2):
         # drop the direct edge: a simple b1-b2 path either is that edge
         # (length 1, excluded) or never uses it
-        work_edges = region.edges - {norm_edge(b1, b2)}
-        if not work_edges:
-            continue
-        gw = Graph(instance.graph.n, work_edges)
+        gw = Graph(instance.graph.n, region.edges - {norm_edge(b1, b2)})
         allowed = set(region.vertices) - (set(opt_r) - {b1, b2})
-        for u, v in sorted(work_edges):
-            if u in allowed and v in allowed and edge_on_st_path(gw, u, v, b1, b2, allowed):
-                pi_e.add((u, v))
-                pi_v.update((u, v))
+        edges = st_path_edges(gw, b1, b2, allowed)
+        pi_e |= edges
+        for e in edges:
+            pi_v.update(e)
     return frozenset(pi_v), frozenset(pi_e)
 
 
@@ -162,10 +159,6 @@ def boundary_neighborhood_of(
         if v in pi_boundary:
             out.add(u)
     return frozenset(out)
-
-
-def boundary_neighborhood(solution: RegionSolution) -> frozenset[int]:
-    return boundary_neighborhood_of(solution.pi_edges, solution.pi_boundary)
 
 
 def eps_to_r(eps, cfg: SigmaConfig = SigmaConfig()) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -85,6 +85,14 @@ class Instance:
     t: int
     weights: tuple[Fraction, ...] = ()
     declared_class: str = "general"
+    # the pair oracle's answers for this instance (see verify.py); they live
+    # and die with the instance, so nothing outlasts the solve that built it
+    _conn_cache: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    _pair_cache: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         g = self.graph
@@ -181,79 +189,73 @@ def is_acyclic(graph: Graph, removed: Optional[set[int]] = None) -> bool:
 
 def find_cycle(graph: Graph, removed: Optional[set[int]] = None) -> Optional[list[int]]:
     """A simple cycle in the graph minus ``removed``, as a vertex list, or None."""
-    import sys
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * graph.n + 1000))
     removed = removed or set()
     parent: dict[int, Optional[int]] = {}
     on_stack: set[int] = set()
-
-    def dfs(u: int, par: Optional[int]) -> Optional[list[int]]:
-        on_stack.add(u)
-        for v in graph.adjacency[u]:
-            if v in removed or v == par:
-                continue
-            if v in on_stack:
-                # back edge to an ancestor: walk up from u to v
-                cyc = [u]
-                x: Optional[int] = u
-                while x != v:
-                    x = parent[x]
-                    cyc.append(x)
-                return cyc
-            if v in parent:
-                continue  # finished descendant; edge already seen from below
-            parent[v] = u
-            found = dfs(v, u)
-            if found is not None:
-                return found
-        on_stack.discard(u)
-        return None
-
     for root in range(graph.n):
         if root in removed or root in parent:
             continue
         parent[root] = None
-        found = dfs(root, None)
-        if found is not None:
-            return found
+        on_stack.add(root)
+        stack = [(root, iter(graph.adjacency[root]))]  # explicit DFS stack
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if v in removed or v == parent[u]:
+                    continue
+                if v in on_stack:
+                    # back edge to an ancestor: walk up from u to v
+                    cyc = [u]
+                    x: Optional[int] = u
+                    while x != v:
+                        x = parent[x]
+                        cyc.append(x)
+                    return cyc
+                if v in parent:
+                    continue  # finished descendant; edge already seen from below
+                parent[v] = u
+                on_stack.add(v)
+                stack.append((v, iter(graph.adjacency[v])))
+                break
+            else:
+                on_stack.discard(u)
+                stack.pop()
     return None
 
 
 def _blocks_from(graph: Graph, root: int) -> list[set[int]]:
     """Biconnected components of root's connected component (lowpoint DFS)."""
-    import sys
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * graph.n + 1000))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    disc: dict[int, int] = {root: 0}
+    low: dict[int, int] = {root: 0}
     edge_stack: list[tuple[int, int]] = []
     comps: list[set[int]] = []
-    timer = [0]
-
-    def dfs(u: int, parent: Optional[int]) -> None:
-        disc[u] = low[u] = timer[0]
-        timer[0] += 1
-        for v in graph.adjacency[u]:
+    stack = [(root, None, iter(graph.adjacency[root]))]  # explicit DFS stack
+    while stack:
+        u, parent, rest = stack[-1]
+        for v in rest:
             if v == parent:
                 continue
             if v not in disc:
+                disc[v] = low[v] = len(disc)
                 edge_stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
+                stack.append((v, u, iter(graph.adjacency[v])))
+                break
+            if disc[v] < disc[u]:
+                edge_stack.append((u, v))
+                low[u] = min(low[u], disc[v])
+        else:
+            # u is finished: pass its lowpoint up and close a block at parent
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
                     comp: set[int] = set()
                     while True:
                         e = edge_stack.pop()
                         comp.update(e)
-                        if e == (u, v):
+                        if e == (parent, u):
                             break
                     comps.append(comp)
-            elif disc[v] < disc[u]:
-                edge_stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-
-    dfs(root, None)
     if not comps:
         comps = [{root}]
     return comps

@@ -1,8 +1,9 @@
 """Reduction rules 1-3 with a trace mapping kernel vertices to originals.
 
-Rule 1 removes vertices/edges off every s-t path, Rule 2 trims degree-1
-terminals, Rule 3 contracts adjacent degree-2 non-terminals.  None of the
-rules introduce trackers, so lifting a kernel solution only needs to resolve
+Rule 1 removes vertices/edges off every s-t path, in one linear pass over the
+block-cut tree (``paths.st_path_edges``); Rule 2 trims degree-1 terminals;
+Rule 3 contracts adjacent degree-2 non-terminals.  None of the rules
+introduce trackers, so lifting a kernel solution only needs to resolve
 contracted identities.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from trackpaths.graph import Graph, Instance
-from trackpaths.paths import edge_on_st_path, reachable
+from trackpaths.paths import st_path_edges
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,9 @@ def _relabel(
 def rule1(instance: Instance) -> tuple[Instance, ReductionTrace]:
     """Remove every vertex and edge that lies on no simple s-t path."""
     g, s, t = instance.graph, instance.s, instance.t
-    if t not in reachable(g, s, set(range(g.n))):
+    surviving = st_path_edges(g, s, t)
+    if not surviving:
         raise ValueError("no s-t path exists; instance is infeasible for Rule 1")
-    surviving = {e for e in g.edges if edge_on_st_path(g, e[0], e[1], s, t)}
     keep = {s, t}
     for u, v in surviving:
         keep.update((u, v))

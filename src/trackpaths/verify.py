@@ -10,7 +10,6 @@ has a tracker off its entry/exit pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from trackpaths.graph import (
@@ -23,10 +22,14 @@ from trackpaths.graph import (
 )
 from trackpaths.disjoint import two_disjoint_paths
 from trackpaths.paths import reachable, simple_st_paths
+from trackpaths.reduction import is_rule1_reduced
 
 DEFAULT_PATH_CAP = 200_000
 _DFS_PROBE_BUDGET = 20_000
 _SEARCH_BUDGET = 500_000
+# bounds on the per-instance caches (``Instance._conn_cache``, ``_pair_cache``)
+_CONN_CACHE_MAX = 500_000
+_PAIR_CACHE_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,10 @@ def canonical_cycle(seq: Iterable[int]) -> tuple[int, ...]:
 
 
 def _has_connection(
-    graph: Graph, s: int, t: int, sub: frozenset[int], sp: int, tp: int
+    instance: Instance, sub: frozenset[int], sp: int, tp: int
 ) -> bool:
     """Two vertex-disjoint paths s->sp and tp->t touching ``sub`` only at sp/tp."""
+    graph, s, t = instance.graph, instance.s, instance.t
     all_v = set(range(graph.n))
     if s in sub and s != sp:
         return False
@@ -86,17 +90,15 @@ def _has_connection(
         return t in reachable(graph, tp, allowed2 - {s})
     if t == tp:
         return sp in reachable(graph, s, allowed1 - {t})
-    key = (graph, s, t, sub, sp, tp)
-    hit = _conn_cache.get(key)
+    cache = instance._conn_cache
+    key = (sub, sp, tp)
+    hit = cache.get(key)
     if hit is None:
         hit = _connection_search(graph, s, t, sp, tp, allowed1, allowed2)
-        if len(_conn_cache) > 500_000:
-            _conn_cache.clear()
-        _conn_cache[key] = hit
+        if len(cache) > _CONN_CACHE_MAX:
+            cache.clear()
+        cache[key] = hit
     return hit
-
-
-_conn_cache: dict[tuple, bool] = {}
 
 
 def _connection_search(
@@ -222,27 +224,24 @@ def entry_exit_pairs(
     pairs = []
     for sp in sorted(sub):
         for tp in sorted(sub):
-            if sp != tp and _has_connection(g, instance.s, instance.t, sub, sp, tp):
+            if sp != tp and _has_connection(instance, sub, sp, tp):
                 pairs.append((sp, tp))
     return pairs
 
 
-_pair_cache: dict[tuple[Instance, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
-
-
 def cycle_entry_exit_pairs(instance: Instance, cycle: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Entry-exit pairs of a cycle, cached per (instance, canonical cycle)."""
+    """Entry-exit pairs of a cycle, cached on the instance per canonical cycle."""
     canon = canonical_cycle(cycle)
-    key = (instance, canon)
-    hit = _pair_cache.get(key)
+    cache = instance._pair_cache
+    hit = cache.get(canon)
     if hit is None:
         cyc_edges = [
             (canon[i], canon[(i + 1) % len(canon)]) for i in range(len(canon))
         ]
         hit = tuple(entry_exit_pairs(instance, canon, sub_edges=cyc_edges))
-        if len(_pair_cache) > 200_000:
-            _pair_cache.clear()
-        _pair_cache[key] = hit
+        if len(cache) > _PAIR_CACHE_MAX:
+            cache.clear()
+        cache[canon] = hit
     return hit
 
 
@@ -274,9 +273,8 @@ def untracked_pair(
         vs = sorted(canon)
         candidates = [(a, b) for a in vs for b in vs if a != b]
     sub = frozenset(canon)
-    g = instance.graph
     for sp, tp in candidates:
-        if _has_connection(g, instance.s, instance.t, sub, sp, tp):
+        if _has_connection(instance, sub, sp, tp):
             return (sp, tp)
     return None
 
@@ -298,18 +296,11 @@ def verify_by_paths(
     return VerifyReport(True)
 
 
-@lru_cache(maxsize=4096)
-def _rule1_reduced(instance: Instance) -> bool:
-    from trackpaths.reduction import is_rule1_reduced
-
-    return is_rule1_reduced(instance)
-
-
 def verify_by_cycles(instance: Instance, trackers: set[int]) -> VerifyReport:
     """Check the covering characterization: FVS plus tracked entry-exit cycles."""
     from trackpaths.cycles import enumerate_cf
 
-    if not _rule1_reduced(instance):
+    if not is_rule1_reduced(instance):
         raise NotReducedError("cycle verifier requires a Rule-1-reduced instance")
     g = instance.graph
     trackers = set(trackers)

@@ -1,11 +1,15 @@
 """Separator-based scheme for planar-declared instances."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from trackpaths.eptas import eps_to_r, eptas_solve, region_opt
+from trackpaths.eptas import eps_to_r, eptas_division, eptas_solve, pi_subgraph, region_opt
 from trackpaths.exact import exact_tracking_set
 from trackpaths.generators import grid, theta
-from trackpaths.graph import CapExceededError, Graph, Instance
+from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
+from trackpaths.paths import simple_st_paths
 from trackpaths.rdivision import Region
 from trackpaths.reduction import reduce_all
 from trackpaths.verify import verify_by_paths
@@ -52,6 +56,34 @@ def test_eptas_perturbed_grid():
     inst = grid(5, 5, perturb=3, seed=5)
     res = eptas_solve(inst, r=9)
     assert res.valid and verify_by_paths(inst, set(res.trackers)).valid
+
+
+def _pi_by_enumeration(n, region, opt_r):
+    """Edges of boundary-to-boundary region paths of length >= 2 whose
+    internal vertices avoid opt_r."""
+    g = Graph(n, region.edges)
+    edges = set()
+    for b1, b2 in combinations(sorted(region.boundary), 2):
+        for path in simple_st_paths(g, b1, b2):
+            if len(path) >= 3 and not set(path[1:-1]) & opt_r:
+                edges.update(norm_edge(a, b) for a, b in zip(path, path[1:]))
+    return edges
+
+
+def test_pi_subgraph_matches_path_enumeration():
+    rng = random.Random(9)
+    regions = 0
+    for seed in (1, 2):
+        kernel, division = eptas_division(grid(5, 5, perturb=2, seed=seed), 9)
+        for region in division.regions:
+            regions += 1
+            vertices = sorted(region.vertices)
+            for opt_r in (region_opt(kernel, region), set(rng.sample(vertices, 2)), set()):
+                pi_v, pi_e = pi_subgraph(kernel, region, opt_r)
+                want = _pi_by_enumeration(kernel.graph.n, region, opt_r)
+                assert pi_e == want, (region, opt_r)
+                assert pi_v == {v for e in want for v in e}
+    assert regions >= 4
 
 
 def test_eps_to_r_is_astronomical_and_capped():

@@ -1,11 +1,13 @@
 """Reduction rules 1-3: spec anchor cases, traces, transfer, idempotence."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import c4_instance, reduced_corpus, theta_instance
-from trackpaths.graph import Graph, Instance
+from trackpaths.graph import Graph, Instance, articulation_points, connected_components
+from trackpaths.paths import reachable, simple_st_paths
 from trackpaths.reduction import (
     identity_trace,
     is_reduced,
@@ -45,6 +47,62 @@ def test_rule1_infeasible_instance_errors():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         rule1(Instance(g, 0, 3))
+
+
+def _glued_blocks(rng, n):
+    """Random cycles, cliques and bridges glued at random vertices, leaving
+    some vertices in components of their own."""
+    edges = set()
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(2, min(n, 5) + 1)
+        vs = rng.sample(range(n), k)
+        if k == 2:
+            edges.add(tuple(vs))
+        elif rng.random() < 0.5:
+            edges.update(zip(vs, vs[1:] + vs[:1]))
+        else:
+            edges.update(combinations(vs, 2))
+    return edges
+
+
+def test_rule1_keeps_exactly_the_edges_of_simple_st_paths():
+    rng = random.Random(1973)
+    seen = {"s_or_t_cut": 0, "bridge": 0, "pendant_block": 0, "off_component": 0, "no_path": 0}
+    for _ in range(400):
+        n = rng.randrange(3, 10)
+        if rng.random() < 0.5:
+            p = rng.choice([0.2, 0.3, 0.45, 0.6])
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        else:
+            edges = _glued_blocks(rng, n)
+        s, t = rng.sample(range(n), 2)
+        g = Graph(n, edges)
+        inst = Instance(g, s, t)
+        if t not in reachable(g, s, set(range(n))):
+            seen["no_path"] += 1
+            with pytest.raises(ValueError):
+                rule1(inst)
+            continue
+        want = set()
+        for path in simple_st_paths(g, s, t):
+            want.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+        reduced, trace = rule1(inst)
+        old = [min(o) for o in trace.origin_map]
+        got = {(min(old[a], old[b]), max(old[a], old[b])) for a, b in reduced.graph.edges}
+        assert got == want, (n, sorted(edges), s, t)
+        assert (old[reduced.s], old[reduced.t]) == (s, t)
+        kept = {s, t} | {v for e in want for v in e}
+        assert set(old) == kept
+        # tally the shapes the corpus must cover
+        seen["s_or_t_cut"] += bool({s, t} & articulation_points(g))
+        seen["bridge"] += any(
+            t not in reachable(Graph(n, g.edges - {e}), s, set(range(n))) for e in want
+        )
+        seen["pendant_block"] += any(e not in want and set(e) & kept for e in g.edges)
+        seen["off_component"] += any(
+            not comp & {s, t} for comp in connected_components(g)
+        )
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_rule2_relabels_terminals_inward():
