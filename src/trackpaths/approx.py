@@ -9,83 +9,60 @@ with the bounded-VC iterative-reweighting scheme.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from trackpaths.cover import SetSystem, VCConfig, bg_hitting_set, greedy_weighted_set_cover
 from trackpaths.cycles import enumerate_cf, expand_entry_exit
 from trackpaths.fvs import fvs_2approx
 from trackpaths.graph import Instance, block_chain
 from trackpaths.kernel import instance_lower_bound
-from trackpaths.reduction import lift_trackers, reduce_all, rule1
+from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
 from trackpaths.verify import verify_by_cycles
 
 
-def _prepare(instance: Instance, prereduce: bool):
-    """Rule 1 alone (one pass reaches its fixpoint) or the full Rules 1-3."""
-    if prereduce:
-        return reduce_all(instance)
-    return rule1(instance)
-
-
-def _component_family(comp: Instance, fvs: frozenset[int]):
-    """The entry-exit cycle family of one block, against the block's own s-t."""
-    return expand_entry_exit(comp, enumerate_cf(comp, fvs))
-
-
-_lower_bound = instance_lower_bound
-
-
-def approx_logn_weighted(instance: Instance, prereduce: bool = True) -> SolveResult:
-    """Greedy-cover pipeline: T = greedy cover of the cycle family, plus a
-    2-approximate feedback vertex set, solved per block of the chain."""
+def _per_block(instance: Instance, method: str, key: str, cover) -> SolveResult:
+    """Rules 1-3, then per block of the chain a 2-approximate feedback vertex
+    set plus ``cover(sub, family, lb)``, the trackers for the block's
+    entry-exit cycle family; ``stats[key]`` counts the cover's vertices."""
     t0 = time.perf_counter()
-    kernel, trace = _prepare(instance, prereduce)
-    lb = _lower_bound(instance)
+    kernel, trace = reduce_all(instance)
+    lb = instance_lower_bound(instance)
+    stats = {"fvs": 0, "cycles": 0, key: 0}
     if kernel.graph.n == 2:
-        return SolveResult(frozenset(), instance.weight_of(()), lb, "logn", True,
-                           {"fvs": 0, "cycles": 0, "cover": 0})
+        return SolveResult(frozenset(), instance.weight_of(()), lb, method, True, stats)
     trackers: set[int] = set()
-    fvs_total = cycles_total = cover_total = 0
     for comp in block_chain(kernel).components:
         sub = comp.instance
         f = fvs_2approx(sub)
-        fvs_total += len(f.vertices)
+        stats["fvs"] += len(f.vertices)
         if f.vertices:
-            family = _component_family(sub, f.vertices)
-            cycles_total += len(family.cycles)
-            chosen = _greedy_component(sub, family)
-            cover_total += len(chosen)
-            local = set(f.vertices) | chosen
-        else:
-            local = set()
-        trackers.update(comp.to_parent[v] for v in local)
+            # the family is taken against the block's own s-t
+            family = expand_entry_exit(sub, enumerate_cf(sub, f.vertices))
+            stats["cycles"] += len(family.cycles)
+            chosen = cover(sub, family, lb)
+            stats[key] += len(chosen)
+            trackers.update(comp.to_parent[v] for v in set(f.vertices) | chosen)
     report = verify_by_cycles(kernel, trackers)
     lifted = lift_trackers(trace, trackers)
-    stats = {
-        "fvs": fvs_total,
-        "cycles": cycles_total,
-        "cover": cover_total,
-        "seconds": time.perf_counter() - t0,
-    }
+    stats["seconds"] = time.perf_counter() - t0
     return SolveResult(
-        frozenset(lifted), instance.weight_of(lifted), lb, "logn", report.valid, stats
+        frozenset(lifted), instance.weight_of(lifted), lb, method, report.valid, stats
     )
 
 
-def _greedy_component(sub: Instance, family) -> set[int]:
-    """Greedy weighted cover of the block's entry-exit cycles by vertices.
-
-    The block's own s and t (the chain's cut vertices) track nothing: a
+def _candidates(sub: Instance) -> list[int]:
+    """The block's own s and t (the chain's cut vertices) track nothing: a
     feasible pair's connection paths avoid the cycle except at the pair, so
-    s/t can only appear on a feasible cycle as the pair itself.
-    """
+    s/t can only appear on a feasible cycle as the pair itself."""
+    return [v for v in range(sub.graph.n) if v not in (sub.s, sub.t)]
+
+
+def _greedy_cover(sub: Instance, family, lb: int) -> set[int]:
+    """Greedy weighted cover of the block's entry-exit cycles by vertices."""
     if not family.eecs:
         return set()
-    universe = range(len(family.eecs))
-    candidates = [v for v in range(sub.graph.n) if v not in (sub.s, sub.t)]
     sets = []
-    for v in candidates:
+    for v in _candidates(sub):
         covered = frozenset(
             i
             for i, eec in enumerate(family.eecs)
@@ -93,53 +70,24 @@ def _greedy_component(sub: Instance, family) -> set[int]:
         )
         if covered:
             sets.append((v, covered, sub.weights[v]))
-    system = SetSystem.build(universe, sets)
-    chosen, _ = greedy_weighted_set_cover(system)
+    chosen, _ = greedy_weighted_set_cover(SetSystem.build(range(len(family.eecs)), sets))
     return set(chosen)
 
 
-def approx_logopt_unweighted(
-    instance: Instance, cfg: VCConfig = VCConfig(), prereduce: bool = True
-) -> SolveResult:
+def approx_logn_weighted(instance: Instance) -> SolveResult:
+    """Greedy-cover pipeline: T = greedy cover of the cycle family, plus a
+    2-approximate feedback vertex set, solved per block of the chain."""
+    return _per_block(instance, "logn", "cover", _greedy_cover)
+
+
+def approx_logopt_unweighted(instance: Instance, cfg: VCConfig = VCConfig()) -> SolveResult:
     """Dual-hitting pipeline for unit weights: hit every range C minus its
     entry-exit pair, plus a 2-approximate feedback vertex set, per block."""
     if not instance.is_unit_weighted():
         raise ValueError("the dual-hitting pipeline requires unit weights")
-    t0 = time.perf_counter()
-    kernel, trace = _prepare(instance, prereduce)
-    lb = _lower_bound(instance)
-    if kernel.graph.n == 2:
-        return SolveResult(frozenset(), instance.weight_of(()), lb, "logopt", True,
-                           {"fvs": 0, "cycles": 0, "hitters": 0})
-    trackers: set[int] = set()
-    fvs_total = cycles_total = hit_total = 0
-    start_guess = max(1, lb)
-    for comp in block_chain(kernel).components:
-        sub = comp.instance
-        f = fvs_2approx(sub)
-        fvs_total += len(f.vertices)
-        if f.vertices:
-            family = _component_family(sub, f.vertices)
-            cycles_total += len(family.cycles)
-            ranges = [
-                frozenset(set(eec.cycle) - {eec.entry, eec.exit})
-                for eec in family.eecs
-            ]
-            candidates = [v for v in range(sub.graph.n) if v not in (sub.s, sub.t)]
-            hitters = bg_hitting_set(candidates, ranges, cfg, start_guess=start_guess)
-            hit_total += len(hitters)
-            local = set(f.vertices) | hitters
-        else:
-            local = set()
-        trackers.update(comp.to_parent[v] for v in local)
-    report = verify_by_cycles(kernel, trackers)
-    lifted = lift_trackers(trace, trackers)
-    stats = {
-        "fvs": fvs_total,
-        "cycles": cycles_total,
-        "hitters": hit_total,
-        "seconds": time.perf_counter() - t0,
-    }
-    return SolveResult(
-        frozenset(lifted), instance.weight_of(lifted), lb, "logopt", report.valid, stats
-    )
+
+    def hit(sub: Instance, family, lb: int) -> set[int]:
+        ranges = [frozenset(set(eec.cycle) - {eec.entry, eec.exit}) for eec in family.eecs]
+        return bg_hitting_set(_candidates(sub), ranges, cfg, start_guess=max(1, lb))
+
+    return _per_block(instance, "logopt", "hitters", hit)

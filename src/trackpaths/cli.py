@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -61,16 +59,17 @@ def _result_json(res: SolveResult) -> str:
     )
 
 
-def _parse_ids(text: str) -> set[int]:
+def _parse_ids(text: str) -> list[int]:
+    """A comma-separated list of 1-indexed ids, as 0-indexed ids in order."""
     if not text.strip():
-        return set()
+        return []
     try:
         ids = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad vertex list {text!r}") from exc
     if any(v < 1 for v in ids):
         raise ParseError("vertex ids are 1-indexed")
-    return {v - 1 for v in ids}
+    return [v - 1 for v in ids]
 
 
 def _verify_set(instance: Instance, trackers: set[int]):
@@ -138,7 +137,7 @@ def _solve(
 
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.file, args.declared_class)
-    trackers = _parse_ids(args.trackers)
+    trackers = set(_parse_ids(args.trackers))
     report = _verify_set(inst, trackers)
     witness = None
     if report.witness is not None:
@@ -159,23 +158,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     inst = _read_instance(args.file, args.declared_class)
-    trackers = _parse_ids(args.trackers)
-    sequence = [v - 1 for v in _parse_ids_ordered(args.sequence)]
+    trackers = set(_parse_ids(args.trackers))
+    sequence = _parse_ids(args.sequence)
     path = reconstruct_path(inst, trackers, sequence)
     print(json.dumps({"path": [v + 1 for v in path]}))
     return EXIT_OK
-
-
-def _parse_ids_ordered(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    try:
-        ids = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad vertex list {text!r}") from exc
-    if any(v < 1 for v in ids):
-        raise ParseError("vertex ids are 1-indexed")
-    return ids
 
 
 def _cmd_rdiv(args) -> int:
@@ -298,15 +285,9 @@ def _bench_row(name: str, inst: Instance, method: str, seed: int) -> dict:
 def _cmd_bench(args) -> int:
     corpus = _bench_corpus(args.corpus, args.seed)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    jobs = [(name, inst, method) for name, inst in corpus for method in methods]
-    workers = max(1, int(os.environ.get("TRACKPATHS_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda j: _bench_row(j[0], j[1], j[2], args.seed), jobs)
-            )
-    else:
-        rows = [_bench_row(name, inst, method, args.seed) for name, inst, method in jobs]
+    rows = [
+        _bench_row(name, inst, method, args.seed) for name, inst in corpus for method in methods
+    ]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCH_HEADER)
         writer.writeheader()

@@ -1,4 +1,5 @@
-"""Greedy weighted set cover and the Bronnimann-Goodrich hitting-set scheme."""
+"""Greedy weighted set cover, the Bronnimann-Goodrich hitting-set scheme, and
+the exact implicit hitting-set engine behind every exact oracle."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class UncoverableError(ValueError):
@@ -175,3 +176,86 @@ def _first_missed(candidate: set, range_sets: list[frozenset]) -> Optional[froze
         if not candidate & r:
             return r
     return None
+
+
+def min_weight_hitting_set(
+    universe: Iterable[int],
+    weights: Mapping | Sequence,
+    violated: Callable[[list[int]], Iterable[Iterable[int]]],
+) -> list[int]:
+    """The least accepted subset of ``universe`` under the key (total weight,
+    sorted vertex tuple), by the implicit-hitting-set loop of Moreno-Centeno
+    and Karp (Oper. Res. 2013).
+
+    ``violated(chosen)`` gets a sorted candidate and returns ranges that it
+    misses and that every accepted set hits; an empty result accepts it.  Each
+    round solves the hitting-set problem over the ranges seen so far exactly,
+    so the first accepted candidate is the answer: the true optimum hits every
+    range, so no set under a smaller key hits them all.  ``weights[v]`` is a
+    nonnegative rational for each element ``v``.
+    """
+    elems = sorted(universe)
+    index = {v: i for i, v in enumerate(elems)}
+    scale = math.lcm(*(Fraction(weights[v]).denominator for v in elems))
+    wt = [int(Fraction(weights[v]) * scale) for v in elems]
+    bits = range(len(elems))
+    ranges: list[int] = []  # bitmasks over elems, none containing another
+
+    def cheapest(inc: int, exc: int, lo: int, hi: int) -> Optional[int]:
+        """Least weight, at most ``hi``, of a set hitting every range that
+        contains ``inc`` and avoids ``exc``; the search stops at ``lo``, a
+        weight known to be the least possible."""
+        best = hi + 1
+
+        def branch(inc: int, exc: int, w: int) -> None:
+            nonlocal best
+            open_ = sorted((r & ~exc for r in ranges if not r & inc), key=int.bit_count)
+            lb = used = 0  # disjoint open ranges each cost their lightest element
+            for r in open_:
+                if not r:
+                    return
+                if not r & used:
+                    used |= r
+                    lb += min(wt[i] for i in bits if r >> i & 1)
+            if w + lb >= best:
+                return
+            if not open_:
+                best = w
+                return
+            for i in bits:
+                if open_[0] >> i & 1:
+                    branch(inc | 1 << i, exc, w + wt[i])
+                    if best <= lo:
+                        return
+                    exc |= 1 << i
+
+        branch(inc, exc, sum(wt[i] for i in bits if inc >> i & 1))
+        return best if best <= hi else None
+
+    total = 0
+    while True:
+        total = cheapest(0, 0, total, sum(wt))
+        # fix elements in increasing order, taking each one that some set of
+        # weight ``total`` still has along with those taken so far; once the
+        # taken ones hit every range they are that set, ahead of any longer one
+        inc = exc = 0
+        for i in bits:
+            open_ = [r for r in ranges if not r & inc]
+            if not open_:
+                break
+            b = 1 << i
+            if wt[i] == 0 or (
+                any(r & b for r in open_) and cheapest(inc | b, exc, total, total) is not None
+            ):
+                inc |= b
+            else:
+                exc |= b
+        chosen = [elems[i] for i in bits if inc >> i & 1]
+        found = list(violated(chosen))
+        if not found:
+            return chosen
+        for vs in found:
+            r = sum(1 << index[v] for v in set(vs))
+            if not r or r & inc:
+                raise ValueError(f"range {sorted(vs)} is empty or hit by {chosen}")
+            ranges = [e for e in ranges if e & r != r] + [r]

@@ -13,19 +13,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from trackpaths.cover import min_weight_hitting_set
+from trackpaths.cycles import simple_cycles
 from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
 from trackpaths.kernel import SigmaConfig, lower_bound_maxdeg
 from trackpaths.paths import st_path_edges
 from trackpaths.rdivision import RDivision, Region, relaxed_r_division
 from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
-from trackpaths.verify import (
-    EntryExitCycle,
-    cycle_entry_exit_pairs,
-    untracked_pair,
-    verify_by_cycles,
-)
-from trackpaths.cycles import simple_cycles
+from trackpaths.verify import untracked_pair, verify_by_cycles
 
 DEFAULT_REGION_CAP = 22
 
@@ -40,60 +36,15 @@ class RegionSolution:
     nbhd: frozenset[int]  # N(R): Pi-neighbors of the Pi boundary
 
 
-def region_cycles(instance: Instance, region: Region) -> list[EntryExitCycle]:
-    """Entry-exit cycles whose cycles use only region vertices and edges.
-
-    Pairs are computed with respect to the full graph and the global s,t.
-    """
-    eecs: list[EntryExitCycle] = []
-    for cyc in simple_cycles(
-        instance.graph, set(region.vertices), edges=region.edges
-    ):
-        for sp, tp in cycle_entry_exit_pairs(instance, cyc):
-            eecs.append(EntryExitCycle(cyc, sp, tp))
-    return eecs
-
-
-def _min_hitting(ranges: list[frozenset[int]], candidates: list[int]) -> set[int]:
-    """Lexicographically smallest minimum-cardinality hitting set.
-
-    Branch-and-bound on a missed range's vertices finds the optimum size; a
-    lexicographic scan at that size fixes the tie-break.
-    """
-    if not ranges:
-        return set()
-    best_size = [len(candidates)]
-
-    def branch(chosen: set[int]) -> None:
-        if len(chosen) >= best_size[0]:
-            return
-        missed = next((r for r in ranges if not (r & chosen)), None)
-        if missed is None:
-            best_size[0] = len(chosen)
-            return
-        for v in sorted(missed):
-            chosen.add(v)
-            branch(chosen)
-            chosen.discard(v)
-
-    branch(set())
-    for combo in combinations(candidates, best_size[0]):
-        s = set(combo)
-        if all(r & s for r in ranges):
-            return s
-    raise AssertionError("branch-and-bound size must be achievable")
-
-
 def region_opt(
     instance: Instance, region: Region, cap: int = DEFAULT_REGION_CAP
 ) -> set[int]:
     """Minimum-cardinality set tracking every in-region entry-exit cycle,
     ties broken by lexicographically smallest set.
 
-    Works by constraint generation: solve a hitting set over the ranges
-    collected so far, look for a cycle with a feasible untracked pair, add
-    that pair's range, and repeat.  Any tracking set hits every generated
-    range, so the fixpoint is the true optimum.
+    ``cover.min_weight_hitting_set`` generates the constraints: every cycle
+    with a feasible untracked pair adds the range of its vertices other than
+    that pair, which any tracking set hits.
     """
     if len(region.vertices) > cap:
         raise CapExceededError(
@@ -101,19 +52,18 @@ def region_opt(
             "use a smaller r"
         )
     cycles = simple_cycles(instance.graph, set(region.vertices), edges=region.edges)
-    candidates = sorted({v for cyc in cycles for v in cyc})
-    ranges: set[frozenset[int]] = set()
-    while True:
-        ordered = sorted(ranges, key=lambda r: (len(r), sorted(r)))
-        chosen = _min_hitting(ordered, candidates)
-        violated = False
+
+    def violated(chosen: list[int]) -> list:
+        out = []
+        trackers = set(chosen)
         for cyc in cycles:
-            pair = untracked_pair(instance, cyc, chosen)
+            pair = untracked_pair(instance, cyc, trackers)
             if pair is not None:
-                ranges.add(frozenset(set(cyc) - set(pair)))
-                violated = True
-        if not violated:
-            return chosen
+                out.append(set(cyc) - set(pair))
+        return out
+
+    candidates = {v for cyc in cycles for v in cyc}
+    return set(min_weight_hitting_set(candidates, dict.fromkeys(candidates, 1), violated))
 
 
 def pi_subgraph(

@@ -1,31 +1,39 @@
 """Exact tracking-set solver: the oracle the approximations are tested against.
 
-Search runs over subsets of the Rule-1 survivors in ascending (weight,
-lexicographic) order, pruned by the feedback requirement and by previously
-discovered violated cycles, and anchored on the cycle verifier (path verifier
-for tiny instances).
+On the Rule-1 kernel a tracking set is a feedback vertex set that tracks every
+entry-exit cycle.  ``cover.min_weight_hitting_set`` searches for it: each
+candidate is checked by ``find_cycle`` (a cycle it leaves, which every answer
+must hit) and then by ``verify_by_cycles`` (an untracked entry-exit cycle,
+whose vertices other than its pair every answer must hit).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from trackpaths.graph import CapExceededError, Instance, is_acyclic
+from trackpaths.cover import min_weight_hitting_set
+from trackpaths.graph import CapExceededError, Instance, find_cycle
 from trackpaths.reduction import lift_trackers, rule1
 from trackpaths.results import SolveResult
-from trackpaths.verify import is_tracked, verify_by_cycles, verify_by_paths
+from trackpaths.verify import verify_by_cycles, verify_by_paths
 
 DEFAULT_MAX_N = 18
 
 
-def _verify(instance: Instance, cand: set[int]) -> tuple[bool, object]:
-    """(valid, witness) via the cycle verifier, path verifier as tiny fallback."""
-    if instance.graph.n <= 8:
-        rep = verify_by_paths(instance, cand)
-    else:
-        rep = verify_by_cycles(instance, cand)
-    return rep.valid, rep.witness
+def _tracking_ranges(reduced: Instance):
+    """The ``violated`` callback of a Rule-1-reduced instance: a cycle the
+    candidate leaves, else an untracked entry-exit cycle without its pair."""
+
+    def violated(chosen: list[int]) -> list:
+        cyc = find_cycle(reduced.graph, set(chosen))
+        if cyc is not None:
+            return [cyc]
+        witness = verify_by_cycles(reduced, set(chosen)).witness
+        if witness is None:
+            return []
+        return [set(witness.cycle) - {witness.entry, witness.exit}]
+
+    return violated
 
 
 def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveResult:
@@ -39,30 +47,8 @@ def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveR
     if g.n == 2:
         report = verify_by_paths(instance, set())
         return SolveResult(frozenset(), Fraction(0), 0, "exact", report.valid)
-
-    known_violations: list = []  # EntryExitCycle witnesses seen so far
-    candidates: list[tuple[Fraction, tuple[int, ...]]] = []
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            candidates.append((reduced.weight_of(combo), combo))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-
-    best = None
-    for weight, combo in candidates:
-        cand = set(combo)
-        if not is_acyclic(g, cand):
-            continue
-        if any(not is_tracked(w, cand) for w in known_violations):
-            continue
-        ok, witness = _verify(reduced, cand)
-        if ok:
-            best = (weight, cand)
-            break
-        if witness is not None and hasattr(witness, "cycle"):
-            known_violations.append(witness)
-    assert best is not None  # the full vertex set always tracks
-    weight, kernel_set = best
-    lifted = lift_trackers(trace, kernel_set)
+    best = min_weight_hitting_set(range(g.n), reduced.weights, _tracking_ranges(reduced))
+    lifted = lift_trackers(trace, set(best))
     report = verify_by_paths(instance, lifted) if instance.graph.n <= 12 else None
     valid = report.valid if report is not None else True
     from trackpaths.kernel import instance_lower_bound
@@ -84,20 +70,12 @@ def exact_decision(instance: Instance, k: int, max_n: int = DEFAULT_MAX_N) -> bo
             f"exact decision limited to {max_n} vertices, got {instance.graph.n}"
         )
     reduced, _ = rule1(instance)
-    g = reduced.graph
-    if g.n == 2:
+    n = reduced.graph.n
+    if n == 2:
         return k >= 0
-    known_violations: list = []
-    for size in range(0, min(k, g.n) + 1):
-        for combo in combinations(range(g.n), size):
-            cand = set(combo)
-            if not is_acyclic(g, cand):
-                continue
-            if any(not is_tracked(w, cand) for w in known_violations):
-                continue
-            ok, witness = _verify(reduced, cand)
-            if ok:
-                return True
-            if witness is not None and hasattr(witness, "cycle"):
-                known_violations.append(witness)
-    return False
+    violated = _tracking_ranges(reduced)
+    # a relaxation optimum above k already settles the answer: stop there
+    best = min_weight_hitting_set(
+        range(n), [1] * n, lambda chosen: [] if len(chosen) > k else violated(chosen)
+    )
+    return len(best) <= k

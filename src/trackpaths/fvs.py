@@ -1,12 +1,16 @@
-"""Weighted feedback vertex set: local-ratio 2-approximation and exact oracle."""
+"""Weighted feedback vertex set: local-ratio 2-approximation and exact oracle.
+
+The exact oracle is ``cover.min_weight_hitting_set`` with the cycles that
+``find_cycle`` reports as ranges: a set is feedback iff it leaves no cycle.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from trackpaths.graph import CapExceededError, Graph, Instance, is_acyclic
+from trackpaths.cover import min_weight_hitting_set
+from trackpaths.graph import CapExceededError, Instance, find_cycle, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -91,22 +95,14 @@ def fvs_2approx(instance: Instance) -> FeedbackSet:
 
 
 def fvs_exact(instance: Instance, max_n: int = 16) -> FeedbackSet:
-    """Minimum-weight FVS by subset enumeration; ties broken lexicographically."""
+    """Minimum-weight FVS; ties broken by lexicographically smallest set."""
     g = instance.graph
     if g.n > max_n:
         raise CapExceededError(f"fvs_exact limited to {max_n} vertices, got {g.n}")
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            cand = set(combo)
-            if not is_acyclic(g, cand):
-                continue
-            key = (instance.weight_of(cand), combo)
-            if best is None or key < best:
-                best = key
-        # with unit weights the first feasible size is optimal; with general
-        # weights a larger set can be lighter, so keep scanning all sizes
-        if best is not None and instance.is_unit_weighted():
-            break
-    assert best is not None  # removing everything is always feedback
-    return FeedbackSet(frozenset(best[1]), best[0])
+
+    def violated(chosen: list[int]) -> list:
+        cyc = find_cycle(g, set(chosen))
+        return [] if cyc is None else [cyc]
+
+    best = min_weight_hitting_set(range(g.n), instance.weights, violated)
+    return FeedbackSet(frozenset(best), instance.weight_of(best))

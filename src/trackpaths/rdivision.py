@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from trackpaths.graph import Graph, NotConnectedError, is_connected, norm_edge
+from trackpaths.graph import Graph, NotConnectedError, is_connected
 
 EXHAUSTIVE_SEPARATOR_MAX_N = 12
 
@@ -21,10 +21,6 @@ class Region:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
     boundary: frozenset[int] = frozenset()
-
-    @property
-    def interior(self) -> frozenset[int]:
-        return self.vertices - self.boundary
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,6 @@ def _components(vertices: set[int], adj: dict[int, set[int]], removed: set[int])
                     stack.append(v)
         comps.append(comp)
     return comps
-
-
-def _balanced(vertices: set[int], adj: dict[int, set[int]], sep: set[int]) -> bool:
-    limit = 2 * len(vertices) / 3
-    return all(len(c) <= limit for c in _components(vertices, adj, sep))
 
 
 def _separator(vertices: set[int], adj: dict[int, set[int]]) -> set[int]:

@@ -59,3 +59,15 @@ def random_weights(instance: Instance, seed: int) -> Instance:
     rng = random.Random(seed)
     w = tuple(rng.randrange(1, 10) for _ in range(instance.graph.n))
     return Instance(instance.graph, instance.s, instance.t, w, instance.declared_class)
+
+
+def brute_min_subset(universe, weights, accepts):
+    """The first accepted subset of ``universe`` when every subset is sorted by
+    (total weight, sorted vertex tuple): the reference for the exact oracles."""
+    elems = sorted(universe)
+    subsets = [
+        tuple(v for i, v in enumerate(elems) if mask >> i & 1)
+        for mask in range(1 << len(elems))
+    ]
+    subsets.sort(key=lambda sub: (sum(weights[v] for v in sub), sub))
+    return next(sub for sub in subsets if accepts(set(sub)))

@@ -13,7 +13,9 @@ from trackpaths.cover import (
     VCConfig,
     bg_hitting_set,
     greedy_weighted_set_cover,
+    min_weight_hitting_set,
 )
+from conftest import brute_min_subset
 
 
 def _system(universe, named_sets):
@@ -111,3 +113,54 @@ def test_setsystem_stats():
     assert sys_.M == 3
     assert sys_.freq == 2
     assert sys_.uncovered_elements() == [3]
+
+
+def test_min_weight_hitting_set_matches_the_sorted_subset_scan():
+    rng = random.Random(404)
+    ties = 0
+    for trial in range(400):
+        n = rng.randrange(0, 11)
+        universe = rng.sample(range(14), n)
+        weights = {v: rng.choice((0, 1, 2, 3)) for v in range(14)}
+        ranges = [
+            frozenset(rng.sample(universe, rng.randrange(1, n + 1)))
+            for _ in range(rng.randrange(0, 9) if n else 0)
+        ]
+        calls = []
+
+        def violated(chosen):
+            calls.append(chosen)
+            assert chosen == sorted(chosen)
+            missed = [r for r in ranges if not r & set(chosen)]
+            return missed[: rng.randrange(1, 3)]  # the engine sees ranges lazily
+
+        got = min_weight_hitting_set(universe, weights, violated)
+        want = brute_min_subset(universe, weights, lambda sub: all(sub & r for r in ranges))
+        assert tuple(got) == want
+        assert calls[-1] == got
+        opt = sum(weights[v] for v in want)
+        sizes = {
+            k
+            for k in range(n + 1)
+            for sub in combinations(universe, k)
+            if sum(weights[v] for v in sub) == opt and all(set(sub) & r for r in ranges)
+        }
+        ties += len(sizes) > 1
+    assert ties >= 40  # equal-weight answers of different sizes
+
+
+def test_min_weight_hitting_set_prefers_the_smaller_tuple_at_equal_weight():
+    # (0, 1) and (1,) both weigh 1; (0, 1) comes first
+    assert min_weight_hitting_set([0, 1], {0: 0, 1: 1}, lambda ch: [] if 1 in ch else [{1}]) == [0, 1]
+    # fractional weights: 1/2 + 1/3 < 1
+    weights = {0: 1, 1: Fraction(1, 2), 2: Fraction(1, 3)}
+    ranges = [{0, 1}, {0, 2}]
+    got = min_weight_hitting_set(
+        range(3), weights, lambda ch: [r for r in ranges if not r & set(ch)]
+    )
+    assert got == [1, 2]
+
+
+def test_min_weight_hitting_set_rejects_a_range_the_candidate_hits():
+    with pytest.raises(ValueError):
+        min_weight_hitting_set([0, 1], [1, 1], lambda ch: [{0, 1}])

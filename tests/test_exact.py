@@ -1,10 +1,12 @@
 """Exact solver and decision procedure."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    brute_min_subset,
     c4_instance,
     k4_instance,
     random_weights,
@@ -74,3 +76,35 @@ def test_size_cap():
     big = Instance(Graph(n, edges), 0, 12)
     with pytest.raises(CapExceededError):
         exact_tracking_set(big, max_n=10)
+
+
+def test_weighted_optimum_with_zero_weights_matches_the_sorted_subset_scan():
+    zero_in_answer = 0
+    for i, inst in enumerate(reduced_corpus(25, seed=521, n_lo=5, n_hi=8)):
+        rng = random.Random(7000 + i)
+        w = tuple(rng.choice((0, 1, 2, 3)) for _ in range(inst.graph.n))
+        weighted = Instance(inst.graph, inst.s, inst.t, w)
+        res = exact_tracking_set(weighted)
+        want = brute_min_subset(
+            range(inst.graph.n), w, lambda sub: verify_by_paths(weighted, sub).valid
+        )
+        assert tuple(sorted(res.trackers)) == want
+        assert res.total_weight == sum(w[v] for v in want)
+        zero_in_answer += any(w[v] == 0 for v in want)
+    assert zero_in_answer > 0
+
+
+def test_grid_6x3_is_solved_without_listing_subsets():
+    import tracemalloc
+
+    from trackpaths.generators import grid
+
+    tracemalloc.start()
+    try:
+        res = exact_tracking_set(grid(6, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # listing and sorting all 2^18 subsets peaked at about 76 MB
+    assert peak < 10_000_000
+    assert sorted(res.trackers) == [1, 3, 5, 7, 8, 9, 10, 12, 14, 16]

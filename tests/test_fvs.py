@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import c4_instance, k4_instance, random_weights, reduced_corpus, theta_instance
+from conftest import brute_min_subset, c4_instance, k4_instance, random_weights, reduced_corpus, theta_instance
 from trackpaths.fvs import fvs_2approx, fvs_exact
 from trackpaths.graph import is_acyclic
 
@@ -61,3 +61,18 @@ def test_exact_size_cap():
     g = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
     with pytest.raises(CapExceededError):
         fvs_exact(Instance(g, 0, 10), max_n=10)
+
+
+def test_exact_with_zero_weights_matches_the_sorted_subset_scan():
+    from trackpaths.graph import Instance
+
+    for i, inst in enumerate(reduced_corpus(30, seed=221, n_lo=5, n_hi=9)):
+        rng = random.Random(960 + i)
+        w = tuple(rng.choice((0, 1, 2, 3)) for _ in range(inst.graph.n))
+        weighted = Instance(inst.graph, inst.s, inst.t, w)
+        exact = fvs_exact(weighted)
+        want = brute_min_subset(
+            range(inst.graph.n), w, lambda sub: is_acyclic(weighted.graph, sub)
+        )
+        assert tuple(sorted(exact.vertices)) == want
+        assert exact.weight == sum(w[v] for v in want)
