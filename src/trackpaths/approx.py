@@ -61,15 +61,12 @@ def _greedy_cover(sub: Instance, family, lb: int) -> set[int]:
     """Greedy weighted cover of the block's entry-exit cycles by vertices."""
     if not family.eecs:
         return set()
-    sets = []
-    for v in _candidates(sub):
-        covered = frozenset(
-            i
-            for i, eec in enumerate(family.eecs)
-            if v in eec.cycle and v not in (eec.entry, eec.exit)
-        )
-        if covered:
-            sets.append((v, covered, sub.weights[v]))
+    covers: dict[int, list[int]] = {}  # vertex -> indices of the cycles it tracks
+    for i, eec in enumerate(family.eecs):
+        for v in eec.cycle:
+            if v not in (eec.entry, eec.exit):
+                covers.setdefault(v, []).append(i)
+    sets = [(v, frozenset(covers[v]), sub.weights[v]) for v in _candidates(sub) if v in covers]
     chosen, _ = greedy_weighted_set_cover(SetSystem.build(range(len(family.eecs)), sets))
     return set(chosen)
 

@@ -188,11 +188,18 @@ def reduce_all(instance: Instance) -> tuple[Instance, ReductionTrace]:
 
 
 def is_rule1_reduced(instance: Instance) -> bool:
-    reduced, _ = rule1(instance)
-    return reduced.graph == instance.graph and (reduced.s, reduced.t) == (
-        instance.s,
-        instance.t,
-    )
+    """True iff Rule 1 removes nothing: every edge lies on a simple s-t path
+    and every vertex is s, t or an end of such an edge."""
+    g, s, t = instance.graph, instance.s, instance.t
+    surviving = st_path_edges(g, s, t)
+    if not surviving:
+        raise ValueError("no s-t path exists; instance is infeasible for Rule 1")
+    if len(surviving) != g.m:
+        return False
+    covered = {s, t}
+    for u, v in surviving:
+        covered.update((u, v))
+    return len(covered) == g.n
 
 
 def is_reduced(instance: Instance) -> bool:

@@ -5,12 +5,29 @@ is unique.  ``verify_by_paths`` checks this directly by enumeration;
 ``verify_by_cycles`` checks the equivalent covering condition: the set is a
 feedback vertex set and every entry-exit cycle carrying at most two trackers
 has a tracker off its entry/exit pair.
+
+The pair oracle asks, for a cycle C and an ordered pair (sp, tp) on it,
+whether there are vertex-disjoint paths s->sp and tp->t in G - (C - {sp, tp})
+(a 2-linkage question).  A pair with s or t on C needs one reachability
+test.  Every other pair of one cycle shares R1 = reachable(s, V - C - {t})
+and R2 = reachable(t, V - C - {s}), computed at most once per
+``entry_exit_pairs`` or ``untracked_pair`` call, and is settled by the
+first rung that decides it:
+
+1. side reject: False if sp has no neighbour in R1 or tp none in R2;
+2. apart accept: True if R1 and R2 are disjoint (as when C separates s from t);
+3. shortest-path probes: True if a shortest path on one side leaves the
+   other side connected;
+4. induced DFS: a budgeted search over induced paths s->sp, which suffice
+   because shortcutting a chord of path 1 keeps it on a subset of its own
+   vertices, so it still avoids path 2;
+5. frontier DP: the exact program of ``disjoint.two_disjoint_paths``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from trackpaths.graph import (
     CapExceededError,
@@ -72,33 +89,56 @@ def canonical_cycle(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(rotated)
 
 
-def _has_connection(
-    instance: Instance, sub: frozenset[int], sp: int, tp: int
-) -> bool:
-    """Two vertex-disjoint paths s->sp and tp->t touching ``sub`` only at sp/tp."""
+def _connection_oracle(
+    instance: Instance, sub: frozenset[int]
+) -> Callable[[int, int], bool]:
+    """``connected(sp, tp)`` for the pairs of one subgraph: are there two
+    vertex-disjoint paths s->sp and tp->t touching ``sub`` only at sp/tp?
+
+    The two sides R1 = reachable(s, V - sub - {t}) and R2 = reachable(t,
+    V - sub - {s}) are computed once, at the first query that needs them, and
+    live only as long as the returned function.
+    """
     graph, s, t = instance.graph, instance.s, instance.t
-    all_v = set(range(graph.n))
-    if s in sub and s != sp:
-        return False
-    if t in sub and t != tp:
-        return False
-    allowed1 = (all_v - sub - {t}) | {sp}
-    allowed2 = (all_v - sub - {s}) | {tp}
-    if s == sp and t == tp:
-        return True
-    if s == sp:
-        return t in reachable(graph, tp, allowed2 - {s})
-    if t == tp:
-        return sp in reachable(graph, s, allowed1 - {t})
     cache = instance._conn_cache
-    key = (sub, sp, tp)
-    hit = cache.get(key)
-    if hit is None:
-        hit = _connection_search(graph, s, t, sp, tp, allowed1, allowed2)
+    rest: Optional[set[int]] = None  # V - sub
+    sides: Optional[tuple[set[int], set[int]]] = None  # (R1, R2)
+
+    def connected(sp: int, tp: int) -> bool:
+        nonlocal rest, sides
+        if s in sub and s != sp:
+            return False
+        if t in sub and t != tp:
+            return False
+        if s == sp and t == tp:
+            return True
+        key = (sub, sp, tp)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        if rest is None:
+            rest = set(range(graph.n)) - sub
+        if s == sp:
+            return t in reachable(graph, tp, rest | {tp})
+        if t == tp:
+            return sp in reachable(graph, s, rest | {sp})
+        if sides is None:
+            sides = (reachable(graph, s, rest - {t}), reachable(graph, t, rest - {s}))
+        r1, r2 = sides
+        if r1.isdisjoint(graph.adjacency[sp]) or r2.isdisjoint(graph.adjacency[tp]):
+            hit = False  # side reject: sp unreachable from s, or t from tp
+        elif r1.isdisjoint(r2):
+            hit = True  # apart accept: any two side paths are disjoint
+        else:
+            hit = _connection_search(
+                graph, s, t, sp, tp, (rest - {t}) | {sp}, (rest - {s}) | {tp}
+            )
         if len(cache) > _CONN_CACHE_MAX:
             cache.clear()
         cache[key] = hit
-    return hit
+        return hit
+
+    return connected
 
 
 def _connection_search(
@@ -110,13 +150,10 @@ def _connection_search(
     allowed1: set[int],
     allowed2: set[int],
 ) -> bool:
-    """Layered decision: necessary reachability, cheap sufficient probes, a
-    bounded path search, then the exact disjoint-paths dynamic program."""
-    if sp not in reachable(graph, s, allowed1):
-        return False
-    if t not in reachable(graph, tp, allowed2):
-        return False
-    # cheap sufficient checks: one shortest path, then test the other side
+    """Rungs 3-5 of the pair oracle, for a pair that rungs 1-2 (side reject,
+    apart accept, in ``_connection_oracle``) left open: two shortest-path
+    probes, the induced DFS, then the exact frontier DP.  Induced paths s->sp
+    suffice: shortcutting a chord keeps path 1 on a subset of its vertices."""
     p1 = _shortest_path(graph, s, sp, allowed1)
     if p1 is not None and t in reachable(graph, tp, allowed2 - set(p1)):
         return True
@@ -149,8 +186,13 @@ def _bounded_path_search(
     allowed2: set[int],
     budget: int,
 ) -> Optional[bool]:
-    """DFS over candidate paths s->sp with reachability pruning; None on
-    budget exhaustion."""
+    """DFS over induced paths s->sp with reachability pruning; None on
+    budget exhaustion.
+
+    A path is extended only by a vertex with no neighbour on it but the
+    current end.  Shortcutting the chords of a working path gives an induced
+    one on a subset of its vertices, inside ``allowed1``, that leaves path 2
+    at least the room it had and passes every pruning test the original did."""
     remaining = [budget]
     path_set = {s}
 
@@ -163,7 +205,11 @@ def _bounded_path_search(
         if t not in reachable(graph, tp, allowed2 - path_set):
             return False
         for v in graph.adjacency[u]:
-            if v in allowed1 and v not in path_set:
+            if (
+                v in allowed1
+                and v not in path_set
+                and all(w == u or w not in path_set for w in graph.adjacency[v])
+            ):
                 path_set.add(v)
                 if dfs(v):
                     return True
@@ -221,10 +267,11 @@ def entry_exit_pairs(
         sub_edges = [e for e in g.edges if e[0] in sub and e[1] in sub]
     if not list(sub_edges):
         raise ValueError("subgraph has no edges")
+    connected = _connection_oracle(instance, sub)
     pairs = []
     for sp in sorted(sub):
         for tp in sorted(sub):
-            if sp != tp and _has_connection(instance, sub, sp, tp):
+            if sp != tp and connected(sp, tp):
                 pairs.append((sp, tp))
     return pairs
 
@@ -272,9 +319,9 @@ def untracked_pair(
     else:
         vs = sorted(canon)
         candidates = [(a, b) for a in vs for b in vs if a != b]
-    sub = frozenset(canon)
+    connected = _connection_oracle(instance, frozenset(canon))
     for sp, tp in candidates:
-        if _has_connection(instance, sub, sp, tp):
+        if connected(sp, tp):
             return (sp, tp)
     return None
 

@@ -71,3 +71,31 @@ def brute_min_subset(universe, weights, accepts):
     ]
     subsets.sort(key=lambda sub: (sum(weights[v] for v in sub), sub))
     return next(sub for sub in subsets if accepts(set(sub)))
+
+
+def _simple_paths(graph: Graph, a: int, b: int, allowed: set[int]) -> list[frozenset[int]]:
+    """Vertex sets of every simple a-b path inside ``allowed``."""
+    out = []
+
+    def walk(path: list[int]) -> None:
+        if path[-1] == b:
+            out.append(frozenset(path))
+            return
+        for v in graph.adjacency[path[-1]]:
+            if v in allowed and v not in path:
+                path.append(v)
+                walk(path)
+                path.pop()
+
+    if a in allowed and b in allowed:
+        walk([a])
+    return out
+
+
+def brute_connection(instance: Instance, cycle, sp: int, tp: int) -> bool:
+    """Vertex-disjoint paths s->sp and tp->t in G - (C - {sp, tp}), found by
+    listing every simple path on each side: the reference for the pair oracle."""
+    allowed = (set(range(instance.graph.n)) - set(cycle)) | {sp, tp}
+    firsts = _simple_paths(instance.graph, instance.s, sp, allowed)
+    seconds = _simple_paths(instance.graph, tp, instance.t, allowed)
+    return any(p.isdisjoint(q) for p in firsts for q in seconds)

@@ -11,6 +11,7 @@ from trackpaths.paths import reachable, simple_st_paths
 from trackpaths.reduction import (
     identity_trace,
     is_reduced,
+    is_rule1_reduced,
     lift_trackers,
     reduce_all,
     rule1,
@@ -82,6 +83,8 @@ def test_rule1_keeps_exactly_the_edges_of_simple_st_paths():
             seen["no_path"] += 1
             with pytest.raises(ValueError):
                 rule1(inst)
+            with pytest.raises(ValueError):
+                is_rule1_reduced(inst)
             continue
         want = set()
         for path in simple_st_paths(g, s, t):
@@ -93,6 +96,8 @@ def test_rule1_keeps_exactly_the_edges_of_simple_st_paths():
         assert (old[reduced.s], old[reduced.t]) == (s, t)
         kept = {s, t} | {v for e in want for v in e}
         assert set(old) == kept
+        assert is_rule1_reduced(inst) == (kept == set(range(n)) and want == g.edges)
+        assert is_rule1_reduced(reduced)
         # tally the shapes the corpus must cover
         seen["s_or_t_cut"] += bool({s, t} & articulation_points(g))
         seen["bridge"] += any(

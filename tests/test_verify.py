@@ -5,8 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4_instance, k4_instance, reduced_corpus, theta_instance
+from conftest import brute_connection, c4_instance, k4_instance, reduced_corpus, theta_instance
+from trackpaths import verify
+from trackpaths.cycles import simple_cycles
 from trackpaths.graph import CapExceededError, Graph, Instance, NotReducedError
+from trackpaths.paths import reachable
 from trackpaths.verify import (
     EntryExitCycle,
     VerifyReport,
@@ -141,3 +144,76 @@ def test_untracked_pair_matches_full_expansion():
             assert (got is None) == (not expect)
             if got is not None:
                 assert got in pairs and got in expect
+
+
+def _oracle_corpus():
+    """Every simple cycle of 200 seeded reduced graphs with n <= 9."""
+    for inst in reduced_corpus(200, seed=505, n_lo=4, n_hi=9):
+        for cyc in simple_cycles(inst.graph):
+            yield inst, cyc
+
+
+def _separates(inst: Instance, cyc) -> bool:
+    g, s, t = inst.graph, inst.s, inst.t
+    rest = set(range(g.n)) - set(cyc)
+    return s in rest and t in rest and t not in reachable(g, s, rest)
+
+
+def test_pair_oracle_matches_path_enumeration(monkeypatch):
+    searched = []  # answers of the induced DFS rung
+    search = verify._bounded_path_search
+
+    def recording(*args):
+        found = search(*args)
+        searched.append(found)
+        return found
+
+    monkeypatch.setattr(verify, "_bounded_path_search", recording)
+    rng = random.Random(505)
+    through_st = separating = 0
+    for inst, cyc in _oracle_corpus():
+        vs = sorted(cyc)
+        want = [(a, b) for a in vs for b in vs if a != b and brute_connection(inst, cyc, a, b)]
+        assert entry_exit_pairs(inst, cyc) == want, (inst.graph.edges, inst.s, inst.t, cyc)
+        # a fresh instance, so that untracked_pair finds no cached answer
+        fresh = Instance(inst.graph, inst.s, inst.t)
+        trackers = set(rng.sample(vs, rng.randrange(4)))
+        expect = min(
+            (p for p in want if not is_tracked(EntryExitCycle(cyc, *p), trackers)),
+            default=None,
+        )
+        assert untracked_pair(fresh, cyc, trackers) == expect, (inst.graph.edges, cyc, trackers)
+        through_st += inst.s in cyc or inst.t in cyc
+        separating += _separates(inst, cyc)
+    assert through_st >= 20 and separating >= 20, (through_st, separating)
+    assert searched.count(False) >= 20, searched.count(False)
+
+
+def test_connection_search_skips_separating_cycles_and_side_rejects(monkeypatch):
+    calls = []
+    search = verify._connection_search
+
+    def counting(graph, s, t, sp, tp, allowed1, allowed2):
+        calls.append((sp, tp))
+        return search(graph, s, t, sp, tp, allowed1, allowed2)
+
+    monkeypatch.setattr(verify, "_connection_search", counting)
+    searched = separating = rejected = 0
+    for inst, cyc in _oracle_corpus():
+        g, s, t = inst.graph, inst.s, inst.t
+        calls.clear()
+        entry_exit_pairs(inst, cyc)
+        searched += len(calls)
+        if _separates(inst, cyc):
+            assert not calls, (g.edges, cyc, calls)
+            separating += 1
+        rest = set(range(g.n)) - set(cyc)
+        r1, r2 = reachable(g, s, rest - {t}), reachable(g, t, rest - {s})
+        for sp in cyc:
+            for tp in cyc:
+                if sp == tp or s in cyc or t in cyc:
+                    continue
+                if r1.isdisjoint(g.adjacency[sp]) or r2.isdisjoint(g.adjacency[tp]):
+                    assert (sp, tp) not in calls, (g.edges, cyc, sp, tp)
+                    rejected += 1
+    assert searched >= 20 and separating >= 20 and rejected >= 20, (searched, separating, rejected)
