@@ -14,7 +14,7 @@ from trackpaths.cover import SetSystem, VCConfig, bg_hitting_set, greedy_weighte
 from trackpaths.cycles import enumerate_cf, expand_entry_exit
 from trackpaths.fvs import fvs_2approx
 from trackpaths.graph import Instance, block_chain
-from trackpaths.kernel import instance_lower_bound
+from trackpaths.kernel import lower_bound_maxdeg
 from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
 from trackpaths.verify import verify_by_cycles
@@ -26,7 +26,7 @@ def _per_block(instance: Instance, method: str, key: str, cover) -> SolveResult:
     entry-exit cycle family; ``stats[key]`` counts the cover's vertices."""
     t0 = time.perf_counter()
     kernel, trace = reduce_all(instance)
-    lb = instance_lower_bound(instance)
+    lb = lower_bound_maxdeg(kernel)
     stats = {"fvs": 0, "cycles": 0, key: 0}
     if kernel.graph.n == 2:
         return SolveResult(frozenset(), instance.weight_of(()), lb, method, True, stats)

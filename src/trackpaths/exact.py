@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from trackpaths.cover import min_weight_hitting_set
 from trackpaths.graph import CapExceededError, Instance, find_cycle
+from trackpaths.kernel import instance_lower_bound
 from trackpaths.reduction import lift_trackers, rule1
 from trackpaths.results import SolveResult
 from trackpaths.verify import verify_by_cycles, verify_by_paths
@@ -51,8 +52,6 @@ def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveR
     lifted = lift_trackers(trace, set(best))
     report = verify_by_paths(instance, lifted) if instance.graph.n <= 12 else None
     valid = report.valid if report is not None else True
-    from trackpaths.kernel import instance_lower_bound
-
     return SolveResult(
         frozenset(lifted),
         instance.weight_of(lifted),

@@ -87,9 +87,6 @@ class Instance:
     _conn_cache: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
-    _pair_cache: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
 
     def __post_init__(self):
         g = self.graph

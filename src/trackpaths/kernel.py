@@ -59,8 +59,6 @@ def lower_bound_maxdeg(instance: Instance) -> int:
 def instance_lower_bound(instance: Instance) -> int:
     """The max-degree lower bound after reducing an arbitrary instance."""
     reduced, _ = reduce_all(instance)
-    if reduced.graph.n == 2:
-        return 0
     return lower_bound_maxdeg(reduced)
 
 

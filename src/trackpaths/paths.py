@@ -36,6 +36,8 @@ def st_path_edges(
     An edge lies on a simple s-t path iff its block lies on the s-t path of
     the block-cut tree (Hopcroft and Tarjan 1973), so one lowpoint DFS from s
     decides every edge at once, in O(n + m).  Empty when t is unreachable.
+    Without ``allowed`` only ``graph.adjacency`` is read, so any mapping from
+    a vertex to its neighbours will do there (the reduction's working graph).
     """
     if s == t:
         return set()

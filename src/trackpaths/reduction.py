@@ -5,6 +5,12 @@ block-cut tree (``paths.st_path_edges``); Rule 2 trims degree-1 terminals;
 Rule 3 contracts adjacent degree-2 non-terminals.  None of the rules
 introduce trackers, so lifting a kernel solution only needs to resolve
 contracted identities.
+
+One function, ``_reduce``, applies the rules to a single working graph whose
+vertices keep their original ids (a contracted vertex takes the smallest id
+it stands for), and builds the kernel instance and its trace once, at the
+fixpoint.  ``rule1``, ``rule2``, ``rule3`` and ``reduce_all`` call it with
+one rule or with all three.
 """
 
 from __future__ import annotations
@@ -17,34 +23,18 @@ from trackpaths.paths import st_path_edges
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Maps kernel vertex ids back to sets of original vertex ids."""
+    """Maps kernel vertex ids back to sets of original vertex ids.
+
+    ``applied_rules`` has one entry per rule application that changed the
+    graph, in order: the rule's name and the original ids it removed
+    (``rule1``: vertices and edges; ``rule2``: terminals) or contracted
+    (``rule3``: (kept, dropped) pairs).
+    """
 
     applied_rules: tuple[tuple[str, tuple], ...]
     origin_map: tuple[frozenset[int], ...]  # kernel vid -> original ids
     relabeled_s: int  # original id (min of origin set) of current s
     relabeled_t: int
-
-
-def identity_trace(instance: Instance) -> ReductionTrace:
-    return ReductionTrace(
-        (),
-        tuple(frozenset([v]) for v in range(instance.graph.n)),
-        instance.s,
-        instance.t,
-    )
-
-
-def compose_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTrace:
-    """Trace for applying ``first`` then ``second`` (second maps into first's kernel)."""
-    origin = tuple(
-        frozenset().union(*(first.origin_map[v] for v in mids)) if mids else frozenset()
-        for mids in second.origin_map
-    )
-    merged = first.applied_rules + second.applied_rules
-    # relabeled_s/t in `second` are mid-instance ids resolved through `first`
-    rel_s = min(first.origin_map[second.relabeled_s])
-    rel_t = min(first.origin_map[second.relabeled_t])
-    return ReductionTrace(merged, origin, rel_s, rel_t)
 
 
 def lift_trackers(trace: ReductionTrace, kernel_trackers: set[int]) -> set[int]:
@@ -57,134 +47,134 @@ def lift_trackers(trace: ReductionTrace, kernel_trackers: set[int]) -> set[int]:
     return lifted
 
 
-def _relabel(
-    instance: Instance,
-    keep: list[int],
-    edges: set[tuple[int, int]],
-    s: int,
-    t: int,
-    rule_log: tuple[tuple[str, tuple], ...],
-    origin_sets: dict[int, frozenset[int]] | None = None,
-) -> tuple[Instance, ReductionTrace]:
-    """Build the reduced instance on ``keep`` (old ids) plus its trace."""
-    keep_sorted = sorted(keep)
-    index = {v: i for i, v in enumerate(keep_sorted)}
-    g2 = Graph(len(keep_sorted), [(index[u], index[v]) for u, v in edges])
-    if origin_sets is None:
-        origin_sets = {v: frozenset([v]) for v in keep_sorted}
-    weights = []
-    for v in keep_sorted:
-        # a contracted vertex keeps the weight of its min-id original
-        weights.append(instance.weights[min(origin_sets[v], key=lambda x: x)])
-    origin = tuple(origin_sets[v] for v in keep_sorted)
-    inst2 = Instance(g2, index[s], index[t], tuple(weights), instance.declared_class)
-    trace = ReductionTrace(rule_log, origin, min(origin[index[s]]), min(origin[index[t]]))
-    return inst2, trace
+class _Working:
+    """The graph under reduction.  A vertex is keyed by the smallest original
+    id it stands for and ``origin`` lists them all; ``adjacency`` is all that
+    ``st_path_edges`` reads of a graph."""
+
+    def __init__(self, instance: Instance):
+        g = instance.graph
+        self.adjacency = {v: set(g.adjacency[v]) for v in range(g.n)}
+        self.origin = {v: [v] for v in range(g.n)}
+        self.s, self.t = instance.s, instance.t
 
 
-def rule1(instance: Instance) -> tuple[Instance, ReductionTrace]:
-    """Remove every vertex and edge that lies on no simple s-t path."""
-    g, s, t = instance.graph, instance.s, instance.t
-    surviving = st_path_edges(g, s, t)
+def _rule1(w: _Working):
+    """Keep only the edges on simple s-t paths and their ends."""
+    adj = w.adjacency
+    surviving = st_path_edges(w, w.s, w.t)
     if not surviving:
         raise ValueError("no s-t path exists; instance is infeasible for Rule 1")
-    keep = {s, t}
+    keep = {w.s, w.t}
+    for e in surviving:
+        keep.update(e)
+    if len(keep) == len(adj) and 2 * len(surviving) == sum(map(len, adj.values())):
+        return None
+    removed_vertices = tuple(sorted(set(adj) - keep))
+    removed_edges = tuple(
+        sorted((u, v) for u in adj for v in adj[u] if u < v and (u, v) not in surviving)
+    )
+    w.adjacency = {v: set() for v in keep}
     for u, v in surviving:
-        keep.update((u, v))
-    removed_vertices = sorted(set(range(g.n)) - keep)
-    removed_edges = sorted(g.edges - surviving)
-    log: tuple[tuple[str, tuple], ...] = ()
-    if removed_vertices or removed_edges:
-        log = (("rule1", (tuple(removed_vertices), tuple(removed_edges))),)
-    return _relabel(instance, sorted(keep), surviving, s, t, log)
+        w.adjacency[u].add(v)
+        w.adjacency[v].add(u)
+    return ("rule1", (removed_vertices, removed_edges))
 
 
-def rule2(instance: Instance) -> tuple[Instance, ReductionTrace]:
-    """Trim degree-1 terminals, relabeling s/t inward."""
-    g = instance.graph
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-    s, t = instance.s, instance.t
+def _rule2(w: _Working):
+    """Trim degree-1 terminals, moving s/t to their neighbour."""
+    adj, ends = w.adjacency, [w.s, w.t]
     removed: list[int] = []
     changed = True
     while changed:
         changed = False
-        for term in ("s", "t"):
-            cur = s if term == "s" else t
-            other = t if term == "s" else s
-            if len(adj[cur]) == 1:
-                (nb,) = adj[cur]
-                if nb != other:
-                    adj[nb].discard(cur)
-                    del adj[cur]
-                    removed.append(cur)
-                    if term == "s":
-                        s = nb
-                    else:
-                        t = nb
-                    changed = True
-    keep = sorted(adj)
-    edges = {(u, v) for u in adj for v in adj[u] if u < v}
-    log: tuple[tuple[str, tuple], ...] = ()
-    if removed:
-        log = (("rule2", (tuple(removed),)),)
-    return _relabel(instance, keep, edges, s, t, log)
+        for j in (0, 1):
+            cur = ends[j]
+            if len(adj[cur]) == 1 and ends[1 - j] not in adj[cur]:
+                (nb,) = adj.pop(cur)
+                adj[nb].discard(cur)
+                removed.append(cur)
+                ends[j] = nb
+                changed = True
+    w.s, w.t = ends
+    return ("rule2", (tuple(removed),)) if removed else None
+
+
+def _rule3(w: _Working):
+    """Contract adjacent degree-2 non-terminals, always at the smallest
+    vertex that has such a neighbour, until none remain."""
+    adj, terminals = w.adjacency, (w.s, w.t)
+    order = sorted(adj)
+    contracted: list[tuple[int, int]] = []
+    i = 0
+    while i < len(order):
+        a = order[i]
+        i += 1
+        if a in terminals or len(adj.get(a, ())) != 2:
+            continue
+        b = next((b for b in sorted(adj[a]) if b not in terminals and len(adj[b]) == 2), None)
+        if b is None:
+            continue
+        # b > a, or b would have been contracted first
+        contracted.append((a, b))
+        nbrs = (adj[a] | adj[b]) - {a, b}
+        for x in adj.pop(b):
+            adj[x].discard(b)
+        adj[a] = nbrs  # every other neighbour of a stays one
+        for x in nbrs:
+            adj[x].add(a)
+        w.origin[a] += w.origin.pop(b)
+        # inside a path every degree stays, so no vertex before a gains a
+        # partner: go on from a; closing a triangle lowers the degree of its
+        # third vertex, so start over
+        i = i - 1 if len(nbrs) == 2 else 0
+    return ("rule3", (tuple(contracted),)) if contracted else None
+
+
+def _reduce(instance: Instance, rules) -> tuple[Instance, ReductionTrace]:
+    """Apply ``rules`` in turn until none changes the graph, then build the
+    kernel (vertices in original-id order) and its trace."""
+    w = _Working(instance)
+    log = []
+    # each rule runs to its own fixpoint, so once every rule has run since
+    # the last change, a whole round would change nothing
+    left, i = len(rules), 0
+    while left:
+        entry = rules[i % len(rules)](w)
+        i += 1
+        left -= 1
+        if entry is not None:
+            log.append(entry)
+            left = len(rules) - 1
+    adj = w.adjacency
+    keys = sorted(adj)
+    index = {v: j for j, v in enumerate(keys)}
+    graph = Graph(len(keys), [(index[u], index[v]) for u in keys for v in adj[u] if u < v])
+    # a contracted vertex keeps the weight of its min-id original
+    weights = tuple(instance.weights[v] for v in keys)
+    kernel = Instance(graph, index[w.s], index[w.t], weights, instance.declared_class)
+    origin = tuple(frozenset(w.origin[v]) for v in keys)
+    return kernel, ReductionTrace(tuple(log), origin, w.s, w.t)
+
+
+def rule1(instance: Instance) -> tuple[Instance, ReductionTrace]:
+    """Remove every vertex and edge that lies on no simple s-t path."""
+    return _reduce(instance, (_rule1,))
+
+
+def rule2(instance: Instance) -> tuple[Instance, ReductionTrace]:
+    """Trim degree-1 terminals, relabeling s/t inward."""
+    return _reduce(instance, (_rule2,))
 
 
 def rule3(instance: Instance) -> tuple[Instance, ReductionTrace]:
     """Contract edges between adjacent degree-2 non-terminals until none remain."""
-    g = instance.graph
-    s, t = instance.s, instance.t
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-    origin = {v: frozenset([v]) for v in range(g.n)}
-    contracted: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(adj):
-            if a in (s, t) or len(adj[a]) != 2:
-                continue
-            partner = None
-            for b in sorted(adj[a]):
-                if b not in (s, t) and len(adj[b]) == 2:
-                    partner = b
-                    break
-            if partner is None:
-                continue
-            b = partner
-            keep_v, drop_v = (a, b) if a < b else (b, a)
-            contracted.append((keep_v, drop_v))
-            new_nb = (adj[a] | adj[b]) - {a, b}
-            for x in adj[drop_v]:
-                adj[x].discard(drop_v)
-            for x in adj[keep_v]:
-                adj[x].discard(keep_v)
-            del adj[drop_v]
-            adj[keep_v] = set(new_nb)
-            for x in new_nb:
-                adj[x].add(keep_v)
-            origin[keep_v] = origin[keep_v] | origin[drop_v]
-            del origin[drop_v]
-            changed = True
-            break
-    keep = sorted(adj)
-    edges = {(u, v) for u in adj for v in adj[u] if u < v}
-    log: tuple[tuple[str, tuple], ...] = ()
-    if contracted:
-        log = (("rule3", (tuple(contracted),)),)
-    return _relabel(instance, keep, edges, s, t, log, origin_sets=origin)
+    return _reduce(instance, (_rule3,))
 
 
 def reduce_all(instance: Instance) -> tuple[Instance, ReductionTrace]:
     """Apply Rules 1, 2, 3 in order until a fixpoint is reached."""
-    current = instance
-    trace = identity_trace(instance)
-    while True:
-        before = (current.graph, current.s, current.t)
-        for rule in (rule1, rule2, rule3):
-            current, delta = rule(current)
-            trace = compose_traces(trace, delta)
-        if (current.graph, current.s, current.t) == before:
-            return current, trace
+    return _reduce(instance, (_rule1, _rule2, _rule3))
 
 
 def is_rule1_reduced(instance: Instance) -> bool:
@@ -203,9 +193,13 @@ def is_rule1_reduced(instance: Instance) -> bool:
 
 
 def is_reduced(instance: Instance) -> bool:
-    """True iff the instance is a fixpoint of Rules 1-3."""
-    reduced, _ = reduce_all(instance)
-    return reduced.graph == instance.graph and (reduced.s, reduced.t) == (
-        instance.s,
-        instance.t,
-    )
+    """True iff the instance is a fixpoint of Rules 1-3, decided in O(n + m):
+    Rule 1 removes nothing, no terminal hangs by one edge from a vertex other
+    than the other terminal, and no two degree-2 non-terminals are adjacent."""
+    if not is_rule1_reduced(instance):
+        return False
+    g, s, t = instance.graph, instance.s, instance.t
+    if any(g.degree(a) == 1 and g.adjacency[a] != (b,) for a, b in ((s, t), (t, s))):
+        return False
+    inner = [v not in (s, t) and g.degree(v) == 2 for v in range(g.n)]
+    return not any(inner[u] and inner[v] for u, v in g.edges)

@@ -44,9 +44,8 @@ from trackpaths.reduction import is_rule1_reduced
 DEFAULT_PATH_CAP = 200_000
 _DFS_PROBE_BUDGET = 20_000
 _SEARCH_BUDGET = 500_000
-# bounds on the per-instance caches (``Instance._conn_cache``, ``_pair_cache``)
+# bound on the per-instance cache ``Instance._conn_cache``
 _CONN_CACHE_MAX = 500_000
-_PAIR_CACHE_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -277,19 +276,10 @@ def entry_exit_pairs(
 
 
 def cycle_entry_exit_pairs(instance: Instance, cycle: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Entry-exit pairs of a cycle, cached on the instance per canonical cycle."""
+    """Entry-exit pairs of a cycle, taken in its canonical rotation."""
     canon = canonical_cycle(cycle)
-    cache = instance._pair_cache
-    hit = cache.get(canon)
-    if hit is None:
-        cyc_edges = [
-            (canon[i], canon[(i + 1) % len(canon)]) for i in range(len(canon))
-        ]
-        hit = tuple(entry_exit_pairs(instance, canon, sub_edges=cyc_edges))
-        if len(cache) > _PAIR_CACHE_MAX:
-            cache.clear()
-        cache[canon] = hit
-    return hit
+    cyc_edges = [(canon[i], canon[(i + 1) % len(canon)]) for i in range(len(canon))]
+    return tuple(entry_exit_pairs(instance, canon, sub_edges=cyc_edges))
 
 
 def is_tracked(eec: EntryExitCycle, trackers: set[int]) -> bool:

@@ -6,10 +6,11 @@ from itertools import combinations
 import pytest
 
 from conftest import c4_instance, reduced_corpus, theta_instance
+from trackpaths import approx, eptas, kernel, reduction
+from trackpaths.generators import grid
 from trackpaths.graph import Graph, Instance, articulation_points, connected_components
 from trackpaths.paths import reachable, simple_st_paths
 from trackpaths.reduction import (
-    identity_trace,
     is_reduced,
     is_rule1_reduced,
     lift_trackers,
@@ -162,8 +163,8 @@ def test_reduce_all_six_cycle_traces_merges():
 
 
 def test_lift_trackers_identity_and_errors():
-    inst = c4_instance()
-    trace = identity_trace(inst)
+    # the trace of an instance that is already reduced is the identity
+    _, trace = reduce_all(c4_instance())
     assert lift_trackers(trace, {1}) == {1}
     assert lift_trackers(trace, set()) == set()
     with pytest.raises(ValueError):
@@ -233,3 +234,110 @@ def test_rule_order_insensitive_kernel_size():
         for _ in range(3):
             shuffled = _random_order_fixpoint(parent, rng)
             assert shuffled.graph.n == baseline.graph.n
+
+
+def _reduced_by_fixpoint(inst):
+    """The reference definition: Rules 1-3 leave the instance as it is."""
+    reduced, _ = reduce_all(inst)
+    return (reduced.graph, reduced.s, reduced.t) == (inst.graph, inst.s, inst.t)
+
+
+def test_is_reduced_matches_the_fixpoint_definition():
+    rng = random.Random(606)
+    seen = {
+        "reduced": 0, "unreduced": 0, "no_path": 0, "single_edge": 0,
+        "degree1_terminal": 0, "adjacent_degree2": 0, "off_path_pendant": 0,
+    }
+    for i in range(300):
+        n = rng.randrange(2, 10)
+        if i % 3 == 0:
+            # a cycle or path through every vertex, with a few chords
+            order = rng.sample(range(n), n)
+            edges = set(zip(order, order[1:]))
+            if n > 2 and rng.random() < 0.6:
+                edges.add((order[-1], order[0]))
+            edges |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3))}
+        else:
+            p = rng.choice([0.2, 0.35, 0.5, 0.7])
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        s, t = rng.sample(range(n), 2)
+        inst = Instance(Graph(n, edges), s, t)
+        if t not in reachable(inst.graph, s, set(range(n))):
+            seen["no_path"] += 1
+            with pytest.raises(ValueError):
+                is_reduced(inst)
+            continue
+        if i % 2:
+            inst, _ = reduce_all(inst)
+        g, s, t = inst.graph, inst.s, inst.t
+        inner = {v for v in range(g.n) if v not in (s, t) and g.degree(v) == 2}
+        seen["single_edge"] += g.n == 2
+        seen["degree1_terminal"] += any(
+            g.adjacency[a] != (b,) and g.degree(a) == 1 for a, b in ((s, t), (t, s))
+        )
+        seen["adjacent_degree2"] += any(u in inner and v in inner for u, v in g.edges)
+        seen["off_path_pendant"] += any(g.degree(v) == 1 for v in range(g.n) if v not in (s, t))
+        want = _reduced_by_fixpoint(inst)
+        assert is_reduced(inst) == want, (sorted(g.edges), s, t)
+        seen["reduced" if want else "unreduced"] += 1
+    assert seen["reduced"] >= 20 and seen["unreduced"] >= 20, seen
+    assert all(count >= 1 for count in seen.values()), seen
+
+
+def test_rule_log_holds_original_ids():
+    # pendants 0 and 3 (Rule 1), terminal 1 hanging from 2 (Rule 2), and the
+    # degree-2 pair 4-5 on the path 2-4-5-7 (Rule 3): every rule runs on a
+    # graph that an earlier rule has already shrunk
+    g = Graph(8, [(0, 2), (1, 2), (2, 4), (4, 5), (5, 7), (2, 6), (6, 7), (3, 7)])
+    reduced, trace = reduce_all(Instance(g, 1, 7))
+    assert trace.applied_rules == (
+        ("rule1", ((0, 3), ((0, 2), (3, 7)))),
+        ("rule2", ((1,),)),
+        ("rule3", (((4, 5),),)),
+    )
+    assert trace.origin_map == tuple(map(frozenset, ([2], [4, 5], [6], [7])))
+    assert (trace.relabeled_s, trace.relabeled_t) == (2, 7)
+    assert (reduced.graph.n, reduced.graph.m, reduced.s, reduced.t) == (4, 4, 0, 3)
+
+
+def _chain_with_pendants(blocks=4):
+    """s hangs from a chain of 6-cycles, each with a pendant path of two
+    vertices: every rule has work to do."""
+    edges, n = [(0, 1)], 2  # s = 0 hangs from the first cut vertex 1
+    cut = 1
+    for _ in range(blocks):
+        x, y, nxt, z, w, p1, p2 = range(n, n + 7)
+        n += 7
+        edges += [(cut, x), (x, y), (y, nxt), (nxt, z), (z, w), (w, cut), (x, p1), (p1, p2)]
+        cut = nxt
+    return Instance(Graph(n, edges), 0, cut, declared_class="planar")
+
+
+def test_one_reduction_per_solve(monkeypatch):
+    calls = []
+    real = reduction.reduce_all
+
+    def counted(instance):
+        calls.append(instance)
+        return real(instance)
+
+    for mod in (approx, eptas, kernel, reduction):
+        monkeypatch.setattr(mod, "reduce_all", counted)
+    for inst in (grid(5, 5, perturb=2, seed=3), _chain_with_pendants()):
+        solves = {
+            "greedy": lambda: approx.approx_logn_weighted(inst),
+            "bg": lambda: approx.approx_logopt_unweighted(inst),
+            "eptas": lambda: eptas.eptas_solve(inst, r=9),
+            "kernelize": lambda: kernel.kernelize(inst, 3),
+        }
+        for name, solve in solves.items():
+            calls.clear()
+            solve()
+            assert len(calls) == 1, name
+        reduced, _ = real(inst)
+        assert not is_reduced(inst) and is_reduced(reduced)
+        calls.clear()
+        is_reduced(inst)
+        kernel.lower_bound_maxdeg(reduced)
+        kernel.check_size_bounds(reduced, 2)
+        assert calls == []
