@@ -26,9 +26,9 @@ from trackpaths.graph import CapExceededError, Instance
 from trackpaths.io import ParseError, ReconstructionError, parse_instance, reconstruct_path, render_instance
 from trackpaths.kernel import kernelize
 from trackpaths.rdivision import relaxed_r_division
-from trackpaths.reduction import is_rule1_reduced, reduce_all
+from trackpaths.reduction import reduce_all, rule1
 from trackpaths.results import SolveResult
-from trackpaths.verify import verify_by_cycles, verify_by_paths
+from trackpaths.verify import EntryExitCycle, VerifyReport, canonical_cycle, verify_by_cycles, verify_by_paths
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -73,12 +73,19 @@ def _parse_ids(text: str) -> list[int]:
 
 
 def _verify_set(instance: Instance, trackers: set[int]):
-    """Paths verifier on small instances, cycle verifier otherwise."""
+    """Paths verifier on small instances, else the cycle verifier on the
+    Rule-1 kernel, which keeps every s-t path; a witness comes back in input
+    ids."""
     if instance.graph.n <= _PATHS_VERIFIER_MAX_N:
         return verify_by_paths(instance, trackers)
-    if is_rule1_reduced(instance):
-        return verify_by_cycles(instance, trackers)
-    return verify_by_paths(instance, trackers)
+    reduced, trace = rule1(instance)
+    origin = [min(vs) for vs in trace.origin_map]
+    report = verify_by_cycles(reduced, {kv for kv, v in enumerate(origin) if v in trackers})
+    w = report.witness
+    if w is None:
+        return report
+    cycle = canonical_cycle(origin[v] for v in w.cycle)
+    return VerifyReport(False, EntryExitCycle(cycle, origin[w.entry], origin[w.exit]))
 
 
 def _cmd_reduce(args) -> int:

@@ -133,37 +133,22 @@ def expand_entry_exit(instance: Instance, family: CycleFamily) -> CycleFamily:
     return CycleFamily(family.fvs, family.cycles, tuple(eecs))
 
 
-def simple_cycles(
-    graph: Graph,
-    within: Optional[set[int]] = None,
-    edges: Optional[Iterable[tuple[int, int]]] = None,
-) -> list[tuple[int, ...]]:
+def simple_cycles(graph: Graph) -> list[tuple[int, ...]]:
     """All simple cycles (canonical form) via min-vertex-anchored DFS.
 
-    ``edges`` restricts the search to an edge subset (default: all edges).
-    Exponential in general; intended for small graphs and regions.
+    Exponential in general, so no solver calls it: the solvers take their
+    cycles from ``verify.untracked_cycles``.  It stays as the tests'
+    reference on small graphs.
     """
-    if within is None:
-        within = set(range(graph.n))
-    if edges is None:
-        adjacency = graph.adjacency
-    else:
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
     out: set[tuple[int, ...]] = set()
-    for anchor in sorted(within):
-        if edges is not None and anchor not in adjacency:
-            continue
+    for anchor in range(graph.n):
         # cycles whose minimum vertex is `anchor`
         path = [anchor]
         on_path = {anchor}
 
         def dfs(u: int) -> None:
-            for v in adjacency[u]:
-                if v not in within or v < anchor:
+            for v in graph.adjacency[u]:
+                if v < anchor:
                     continue
                 if v == anchor and len(path) >= 3:
                     out.add(canonical_cycle(path))

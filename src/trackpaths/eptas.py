@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.cycles import simple_cycles
 from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
 from trackpaths.kernel import SigmaConfig, lower_bound_maxdeg
 from trackpaths.paths import st_path_edges
 from trackpaths.rdivision import RDivision, Region, relaxed_r_division
 from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
-from trackpaths.verify import untracked_pair, verify_by_cycles
+from trackpaths.verify import untracked_ranges, verify_by_cycles
 
 DEFAULT_REGION_CAP = 22
 
@@ -42,28 +41,18 @@ def region_opt(
     """Minimum-cardinality set tracking every in-region entry-exit cycle,
     ties broken by lexicographically smallest set.
 
-    ``cover.min_weight_hitting_set`` generates the constraints: every cycle
-    with a feasible untracked pair adds the range of its vertices other than
-    that pair, which any tracking set hits.
+    ``cover.min_weight_hitting_set`` gets its constraints from
+    ``verify.untracked_cycles`` on the region's own graph: every region cycle
+    a candidate leaves untracked adds the range of its vertices other than its
+    pair, which any tracking set hits.  No region lists its cycles.
     """
     if len(region.vertices) > cap:
         raise CapExceededError(
             f"region has {len(region.vertices)} vertices, cap is {cap}; "
             "use a smaller r"
         )
-    cycles = simple_cycles(instance.graph, set(region.vertices), edges=region.edges)
-
-    def violated(chosen: list[int]) -> list:
-        out = []
-        trackers = set(chosen)
-        for cyc in cycles:
-            pair = untracked_pair(instance, cyc, trackers)
-            if pair is not None:
-                out.append(set(cyc) - set(pair))
-        return out
-
-    candidates = {v for cyc in cycles for v in cyc}
-    return set(min_weight_hitting_set(candidates, dict.fromkeys(candidates, 1), violated))
+    violated = untracked_ranges(instance, Graph(instance.graph.n, region.edges))
+    return set(min_weight_hitting_set(region.vertices, dict.fromkeys(region.vertices, 1), violated))
 
 
 def pi_subgraph(

@@ -2,9 +2,9 @@
 
 On the Rule-1 kernel a tracking set is a feedback vertex set that tracks every
 entry-exit cycle.  ``cover.min_weight_hitting_set`` searches for it: each
-candidate is checked by ``find_cycle`` (a cycle it leaves, which every answer
-must hit) and then by ``verify_by_cycles`` (an untracked entry-exit cycle,
-whose vertices other than its pair every answer must hit).
+candidate is checked by ``verify.untracked_cycles``, and every cycle it leaves
+untracked adds the range of its vertices other than its pair, which every
+answer hits.
 """
 
 from __future__ import annotations
@@ -12,29 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.graph import CapExceededError, Instance, find_cycle
+from trackpaths.graph import CapExceededError, Instance
 from trackpaths.kernel import instance_lower_bound
 from trackpaths.reduction import lift_trackers, rule1
 from trackpaths.results import SolveResult
-from trackpaths.verify import verify_by_cycles, verify_by_paths
+from trackpaths.verify import untracked_ranges, verify_by_paths
 
 DEFAULT_MAX_N = 18
-
-
-def _tracking_ranges(reduced: Instance):
-    """The ``violated`` callback of a Rule-1-reduced instance: a cycle the
-    candidate leaves, else an untracked entry-exit cycle without its pair."""
-
-    def violated(chosen: list[int]) -> list:
-        cyc = find_cycle(reduced.graph, set(chosen))
-        if cyc is not None:
-            return [cyc]
-        witness = verify_by_cycles(reduced, set(chosen)).witness
-        if witness is None:
-            return []
-        return [set(witness.cycle) - {witness.entry, witness.exit}]
-
-    return violated
 
 
 def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveResult:
@@ -48,7 +32,7 @@ def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveR
     if g.n == 2:
         report = verify_by_paths(instance, set())
         return SolveResult(frozenset(), Fraction(0), 0, "exact", report.valid)
-    best = min_weight_hitting_set(range(g.n), reduced.weights, _tracking_ranges(reduced))
+    best = min_weight_hitting_set(range(g.n), reduced.weights, untracked_ranges(reduced))
     lifted = lift_trackers(trace, set(best))
     report = verify_by_paths(instance, lifted) if instance.graph.n <= 12 else None
     valid = report.valid if report is not None else True
@@ -72,7 +56,7 @@ def exact_decision(instance: Instance, k: int, max_n: int = DEFAULT_MAX_N) -> bo
     n = reduced.graph.n
     if n == 2:
         return k >= 0
-    violated = _tracking_ranges(reduced)
+    violated = untracked_ranges(reduced)
     # a relaxation optimum above k already settles the answer: stop there
     best = min_weight_hitting_set(
         range(n), [1] * n, lambda chosen: [] if len(chosen) > k else violated(chosen)

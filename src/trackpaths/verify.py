@@ -4,7 +4,10 @@ A tracker set is valid iff the tracker subsequence of every simple s-t path
 is unique.  ``verify_by_paths`` checks this directly by enumeration;
 ``verify_by_cycles`` checks the equivalent covering condition: the set is a
 feedback vertex set and every entry-exit cycle carrying at most two trackers
-has a tracker off its entry/exit pair.
+has a tracker off its entry/exit pair.  ``untracked_cycles`` generates the
+cycles that break it, each with its smallest untracked pair; the cycle
+verifier, the exact solver and ``eptas.region_opt`` all take their untracked
+cycles from it.
 
 The pair oracle asks, for a cycle C and an ordered pair (sp, tp) on it,
 whether there are vertex-disjoint paths s->sp and tp->t in G - (C - {sp, tp})
@@ -27,7 +30,7 @@ first rung that decides it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from trackpaths.graph import (
     CapExceededError,
@@ -35,7 +38,6 @@ from trackpaths.graph import (
     Instance,
     NotReducedError,
     find_cycle,
-    is_acyclic,
 )
 from trackpaths.disjoint import two_disjoint_paths
 from trackpaths.paths import reachable, simple_st_paths
@@ -333,25 +335,48 @@ def verify_by_paths(
     return VerifyReport(True)
 
 
-def verify_by_cycles(instance: Instance, trackers: set[int]) -> VerifyReport:
-    """Check the covering characterization: FVS plus tracked entry-exit cycles."""
+def untracked_cycles(
+    instance: Instance, trackers: Iterable[int], graph: Optional[Graph] = None
+) -> Iterator[EntryExitCycle]:
+    """Each cycle of ``graph`` (default: the instance's graph) that
+    ``trackers`` leave untracked, with its smallest untracked pair, judged in
+    the whole Rule-1-reduced ``instance``.
+
+    A cycle avoiding every tracker comes alone.  Otherwise the trackers are a
+    feedback set of ``graph``, and ``enumerate_cf`` lists the cycles meeting
+    them once or twice; one meeting them thrice is tracked.  A tracker-free
+    cycle with no feasible pair, which Rule 1 would have removed, raises
+    ``NotReducedError``.
+    """
     from trackpaths.cycles import enumerate_cf
 
-    if not is_rule1_reduced(instance):
-        raise NotReducedError("cycle verifier requires a Rule-1-reduced instance")
-    g = instance.graph
+    graph = instance.graph if graph is None else graph
     trackers = set(trackers)
-    if not is_acyclic(g, trackers):
-        cyc = find_cycle(g, trackers)
-        assert cyc is not None
-        pairs = cycle_entry_exit_pairs(instance, cyc)
-        sp, tp = pairs[0]
-        return VerifyReport(False, EntryExitCycle(canonical_cycle(cyc), sp, tp))
-    # every simple cycle meets the (feedback) tracker set; cycles meeting it
-    # thrice are tracked outright, so only the enumerated family needs queries
-    family = enumerate_cf(instance, trackers)
-    for cyc in family.cycles:
+    cyc = find_cycle(graph, trackers)
+    if cyc is not None:
+        cycles = [canonical_cycle(cyc)]
+    else:
+        cycles = enumerate_cf(Instance(graph, instance.s, instance.t), trackers).cycles
+    for cyc in cycles:
         pair = untracked_pair(instance, cyc, trackers)
         if pair is not None:
-            return VerifyReport(False, EntryExitCycle(cyc, pair[0], pair[1]))
-    return VerifyReport(True)
+            yield EntryExitCycle(cyc, *pair)
+        elif trackers.isdisjoint(cyc):
+            raise NotReducedError(f"cycle {cyc} has no entry-exit pair")
+
+
+def untracked_ranges(instance: Instance, graph: Optional[Graph] = None) -> Callable:
+    """The ``violated`` callback of ``cover.min_weight_hitting_set``: each cycle
+    ``untracked_cycles`` yields, less its pair, which every tracking set hits."""
+    return lambda chosen: [
+        set(w.cycle) - {w.entry, w.exit} for w in untracked_cycles(instance, chosen, graph)
+    ]
+
+
+def verify_by_cycles(instance: Instance, trackers: set[int]) -> VerifyReport:
+    """Check the covering characterization: FVS plus tracked entry-exit
+    cycles; the witness is the first cycle ``untracked_cycles`` yields."""
+    if not is_rule1_reduced(instance):
+        raise NotReducedError("cycle verifier requires a Rule-1-reduced instance")
+    witness = next(untracked_cycles(instance, trackers), None)
+    return VerifyReport(True) if witness is None else VerifyReport(False, witness)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
 
-from trackpaths.generators import random_reduced
+from trackpaths.generators import grid, k4_chain, random_reduced, theta
 from trackpaths.graph import Graph, Instance
 
 
@@ -53,6 +54,19 @@ def reduced_corpus(count: int, seed: int, n_lo: int, n_hi: int, p=0.4):
             out.append(inst)
     assert len(out) == count, f"corpus generation starved at {len(out)}/{count}"
     return out
+
+
+@lru_cache(maxsize=None)
+def planar_corpus():
+    """Planar-declared instances: plain and perturbed grids, thetas, K4 chains."""
+    out = []
+    for w, h in [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 6)]:
+        out.append(grid(w, h))
+    for seed in range(4):
+        out.append(grid(4, 4, perturb=2, seed=seed))
+        out.append(grid(5, 4, perturb=3, seed=seed))
+    out.extend([theta(3), theta(4), k4_chain(1), k4_chain(2), k4_chain(3)])
+    return tuple(out)
 
 
 def random_weights(instance: Instance, seed: int) -> Instance:

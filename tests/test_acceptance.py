@@ -15,14 +15,14 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from conftest import c4_instance, k4_instance, reduced_corpus, theta_instance
+from conftest import c4_instance, k4_instance, planar_corpus, reduced_corpus, theta_instance
 from trackpaths.approx import approx_logn_weighted, approx_logopt_unweighted
 from trackpaths.cover import VCConfig, bg_hitting_set, greedy_weighted_set_cover
 from trackpaths.cycles import enumerate_cf, expand_entry_exit, simple_cycles
 from trackpaths.eptas import eptas_division, eptas_solve, solve_region
 from trackpaths.exact import exact_tracking_set
 from trackpaths.fvs import fvs_2approx, fvs_exact
-from trackpaths.generators import grid, k4_chain, random_reduced, theta
+from trackpaths.generators import grid, random_reduced
 from trackpaths.graph import Graph, Instance
 from trackpaths.io import reconstruct_path
 from trackpaths.kernel import kernelize
@@ -93,19 +93,6 @@ def _exhaustive_small_family(max_n: int = 7, per_n: int = 30):
             if sum(1 for k in found if k[0] == n) >= per_n:
                 break
     return list(found.values())
-
-
-@lru_cache(maxsize=None)
-def _planar_corpus():
-    """Planar-declared instances: plain and perturbed grids, thetas, K4 chains."""
-    out = []
-    for w, h in [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 6)]:
-        out.append(grid(w, h))
-    for seed in range(4):
-        out.append(grid(4, 4, perturb=2, seed=seed))
-        out.append(grid(5, 4, perturb=3, seed=seed))
-    out.extend([theta(3), theta(4), k4_chain(1), k4_chain(2), k4_chain(3)])
-    return tuple(out)
 
 
 def test_criterion_01_verifier_equivalence():
@@ -340,7 +327,7 @@ def test_criterion_09_eptas_feasibility_and_neighborhood_bound():
     invalid = 0
     nbhd_violations = 0
     single_region_mismatch = 0
-    for inst in _planar_corpus():
+    for inst in planar_corpus():
         r = 9 if inst.graph.n <= 25 else 16
         res = eptas_solve(inst, r=r)
         if not res.valid:
@@ -361,7 +348,7 @@ def test_criterion_09_eptas_feasibility_and_neighborhood_bound():
         9,
         "separator-scheme feasibility and neighborhood bound",
         invalid == 0 and nbhd_violations == 0 and single_region_mismatch == 0,
-        f"{len(_planar_corpus())} instances, {invalid} invalid, "
+        f"{len(planar_corpus())} instances, {invalid} invalid, "
         f"{nbhd_violations} neighborhood violations, {single_region_mismatch} oracle mismatches",
     )
 

@@ -5,6 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from conftest import planar_corpus
+from trackpaths.cover import min_weight_hitting_set
+from trackpaths.cycles import simple_cycles
 from trackpaths.eptas import eps_to_r, eptas_division, eptas_solve, pi_subgraph, region_opt
 from trackpaths.exact import exact_tracking_set
 from trackpaths.generators import grid, theta
@@ -12,7 +15,7 @@ from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
 from trackpaths.paths import simple_st_paths
 from trackpaths.rdivision import Region
 from trackpaths.reduction import reduce_all
-from trackpaths.verify import verify_by_paths
+from trackpaths.verify import untracked_pair, verify_by_paths
 
 
 def _whole_graph_region(g: Graph) -> Region:
@@ -32,6 +35,38 @@ def test_region_opt_matches_exact_on_reduced_anchors():
         got = region_opt(reduced, _whole_graph_region(reduced.graph))
         assert len(got) == len(opt.trackers)
         assert verify_by_paths(reduced, got).valid
+
+
+def _region_opt_by_cycle_list(instance: Instance, region: Region) -> set[int]:
+    """The reference: list every simple cycle of the region graph, and let each
+    one a candidate leaves untracked add the range of its vertices other than
+    its pair, over the vertices on those cycles."""
+    cycles = simple_cycles(Graph(instance.graph.n, region.edges))
+
+    def violated(chosen):
+        trackers = set(chosen)
+        pairs = [(cyc, untracked_pair(instance, cyc, trackers)) for cyc in cycles]
+        return [set(cyc) - set(pair) for cyc, pair in pairs if pair is not None]
+
+    candidates = {v for cyc in cycles for v in cyc}
+    return set(min_weight_hitting_set(candidates, dict.fromkeys(candidates, 1), violated))
+
+
+def test_region_opt_matches_the_cycle_list_reference():
+    cases = []
+    for inst in planar_corpus():
+        for r in (9, 16):
+            kernel, division = eptas_division(inst, r)
+            cases += [(kernel, region) for region in division.regions]
+    for base in (grid(3, 3), grid(4, 3), grid(4, 4), theta(3)):
+        reduced, _ = reduce_all(base)
+        cases.append((reduced, _whole_graph_region(reduced.graph)))
+    nonempty = 0
+    for kernel, region in cases:
+        want = _region_opt_by_cycle_list(kernel, region)
+        assert region_opt(kernel, region) == want, (kernel.graph.edges, region)
+        nonempty += bool(want)
+    assert len(cases) >= 80 and nonempty >= 70, (len(cases), nonempty)
 
 
 def test_region_opt_cap():

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import c4_instance, random_weights, theta_instance
 from trackpaths.cli import main
+from trackpaths.generators import grid
+from trackpaths.graph import Graph, Instance
 from trackpaths.io import (
     ParseError,
     ReconstructionError,
@@ -162,3 +164,25 @@ def test_cli_bench(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2  # header + 3 instances x 2 methods
     header = lines[0].split(",")
     assert "method" in header and "status" in header
+
+
+def test_cli_verify_large_unreduced_instance(tmp_path, capsys):
+    # a 6x6 grid with a pendant vertex on vertex 8: 37 vertices, not
+    # Rule-1-reduced, and too many s-t paths for the path verifier
+    from trackpaths.generators import grid
+    from trackpaths.graph import Graph, Instance
+
+    g = grid(6, 6)
+    inst = Instance(Graph(37, list(g.graph.edges) + [(7, 36)]), g.s, g.t)
+    f = tmp_path / "grid_pendant.txt"
+    f.write_text(render_instance(inst))
+    # the set approx_logn_weighted returns on this instance
+    greedy = "2,4,5,6,7,8,9,10,11,13,14,15,17,18,20,21,22,23,25,26,27,28,29,30,32,34"
+    assert main(["verify", str(f), "--trackers", greedy]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "witness": None}
+    assert main(["verify", str(f), "--trackers", ""]) == 3
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    cycle = [v - 1 for v in witness["cycle"]]
+    assert len(set(cycle)) == len(cycle) >= 3
+    assert all(inst.graph.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    assert witness["entry"] - 1 in cycle and witness["exit"] - 1 in cycle

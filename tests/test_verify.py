@@ -17,6 +17,7 @@ from trackpaths.verify import (
     cycle_entry_exit_pairs,
     entry_exit_pairs,
     is_tracked,
+    untracked_cycles,
     untracked_pair,
     verify_by_cycles,
     verify_by_paths,
@@ -217,3 +218,41 @@ def test_connection_search_skips_separating_cycles_and_side_rejects(monkeypatch)
                     assert (sp, tp) not in calls, (g.edges, cyc, sp, tp)
                     rejected += 1
     assert searched >= 20 and separating >= 20 and rejected >= 20, (searched, separating, rejected)
+
+
+def test_untracked_cycles_yields_sound_ranges():
+    rng = random.Random(509)
+    free = listed = valid = 0
+    for inst in reduced_corpus(150, seed=509, n_lo=4, n_hi=9):
+        g, n = inst.graph, inst.graph.n
+        trackers = set(rng.sample(range(n), rng.randrange(n)))
+        found = list(untracked_cycles(inst, trackers))
+        for w in found:
+            cyc = list(w.cycle)
+            assert len(set(cyc)) == len(cyc) >= 3
+            assert all(g.has_edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            assert not (set(cyc) - {w.entry, w.exit}) & trackers, (g.edges, w, trackers)
+            assert brute_connection(inst, cyc, w.entry, w.exit), (g.edges, w)
+            untracked = [
+                (a, b) for a in sorted(cyc) for b in sorted(cyc)
+                if a != b and not (set(cyc) - {a, b}) & trackers
+            ]
+            assert (w.entry, w.exit) == min(
+                p for p in untracked if brute_connection(inst, cyc, *p)
+            ), (g.edges, w, trackers)
+        assert (not found) == verify_by_paths(inst, trackers).valid, (g.edges, trackers)
+        valid += not found
+        if found and not set(found[0].cycle) & trackers:
+            free += 1
+            assert len(found) == 1
+        else:
+            listed += len(found)
+    assert free >= 30 and listed >= 100 and valid >= 10, (free, listed, valid)
+
+
+def test_untracked_cycles_refuses_a_cycle_without_a_pair():
+    # path s-a-t with a triangle a-b-c hanging off a: no pair of the triangle
+    # is feasible, which Rule 1 would have removed
+    inst = Instance(Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)]), 0, 2)
+    with pytest.raises(NotReducedError):
+        list(untracked_cycles(inst, set()))
