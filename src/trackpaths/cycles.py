@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from trackpaths.graph import CapExceededError, Graph, Instance, find_cycle, is_acyclic
+from trackpaths.graph import CapExceededError, Graph, Instance, find_cycle
 from trackpaths.verify import EntryExitCycle, canonical_cycle, cycle_entry_exit_pairs
 
 DEFAULT_CYCLE_CAP = 2_000_000
@@ -74,8 +74,8 @@ def enumerate_cf(
     """All simple cycles containing exactly 1 or 2 vertices of the FVS."""
     g = instance.graph
     f = frozenset(fvs)
-    if not is_acyclic(g, set(f)):
-        witness = find_cycle(g, set(f))
+    witness = find_cycle(g, set(f))
+    if witness is not None:
         raise ValueError(f"fvs is not feedback: cycle {witness} survives removal")
     forest = _Forest(g, f)
     cycles: set[tuple[int, ...]] = set()
@@ -106,12 +106,6 @@ def enumerate_cf(
                     p = forest.path(p1, p2)
                     if p is not None:
                         conns.append(p)
-            # dedupe oriented connection paths; a path and its reverse are
-            # distinct connections (they close into different cycles)
-            uniq: dict[tuple[int, ...], list[int]] = {}
-            for p in conns:
-                uniq.setdefault(tuple(p), p)
-            conns = list(uniq.values())
             direct = g.has_edge(f1, f2)
             for p in conns:
                 if direct:

@@ -1,7 +1,8 @@
-"""Simple undirected graphs, problem instances, and block-cut decomposition."""
+"""Simple undirected graphs, problem instances, and the s-t chain of blocks."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -255,99 +256,69 @@ def _blocks_from(graph: Graph, root: int) -> list[set[int]]:
     return comps
 
 
-def _all_blocks(graph: Graph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for comp in connected_components(graph):
-        root = min(comp)
-        if root in seen:
-            continue
-        seen |= comp
-        comps.extend(_blocks_from(graph, root))
-    comps.sort(key=min)
-    return comps
+def st_blocks(graph: Graph, s: int, t: int) -> list[set[int]]:
+    """The blocks on the s-t path of the block-cut tree, in order from s;
+    consecutive blocks share one cut vertex.  Empty when t is unreachable.
 
-
-def articulation_points(graph: Graph) -> set[int]:
-    """Cut vertices: vertices contained in two or more biconnected blocks."""
-    counts: dict[int, int] = {}
-    for comp in _all_blocks(graph):
-        for v in comp:
-            counts[v] = counts.get(v, 0) + 1
-    return {v for v, c in counts.items() if c >= 2}
-
-
-def biconnected_components(graph: Graph) -> tuple[list[set[int]], set[int]]:
-    """Biconnected components (as vertex sets) and cut vertices.
-
-    Components are ordered deterministically by smallest contained vertex id.
-    Raises NotConnectedError on disconnected input.
+    One lowpoint DFS from s finds the blocks of s's component; their
+    vertex-block incidence graph is a tree, searched from s, and the walk
+    back from t reads off the path (Hopcroft and Tarjan 1973).  O(n + m).
+    Only ``graph.adjacency`` is read, so any mapping from a vertex to its
+    neighbours will do (the reduction's working graph).
     """
-    if graph.n == 0:
-        return [], set()
-    if not is_connected(graph):
-        raise NotConnectedError("graph is not connected")
-    comps = _all_blocks(graph)
-    counts: dict[int, int] = {}
-    for comp in comps:
-        for v in comp:
-            counts[v] = counts.get(v, 0) + 1
-    cuts = {v for v, c in counts.items() if c >= 2}
-    return comps, cuts
-
-
-def component_edges(graph: Graph, comp: set[int]) -> set[tuple[int, int]]:
-    return {e for e in graph.edges if e[0] in comp and e[1] in comp}
+    blocks = _blocks_from(graph, s)
+    blocks_of: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        for v in block:
+            blocks_of.setdefault(v, []).append(i)
+    via: dict[int, tuple[int, int]] = {s: (-1, s)}  # vertex -> (block, previous vertex)
+    queue = deque([s])
+    while queue and t not in via:
+        u = queue.popleft()
+        for b in blocks_of[u]:
+            if b != via[u][0]:
+                for v in blocks[b]:
+                    if v not in via:
+                        via[v] = (b, u)
+                        queue.append(v)
+    if t not in via:
+        return []
+    path: list[set[int]] = []
+    v = t
+    while v != s:
+        b, v = via[v]
+        path.append(blocks[b])
+    return path[::-1]
 
 
 def block_chain(instance: Instance) -> BlockChain:
     """Decompose a Rule-1-reduced instance into its s-t chain of blocks.
 
     The block-cut tree of a Rule-1-reduced graph is an s-t path; each block
-    becomes a sub-instance with its entry/exit assigned along the chain.
-    Raises NotReducedError when the block structure is not a chain from s to t.
+    of ``st_blocks`` becomes a sub-instance, entered at the cut vertex it
+    shares with the block before it.  Raises NotReducedError when a vertex or
+    an edge lies outside those blocks.
     """
     g = instance.graph
     s, t = instance.s, instance.t
-    comps, cuts = biconnected_components(g)
-    # Orient the chain from the block containing s toward the one containing t.
-    ordered: list[set[int]] = []
-    remaining = list(comps)
-    current = s
-    while True:
-        nxt = [c for c in remaining if current in c]
-        if len(nxt) != 1:
-            raise NotReducedError("not Rule-1 reduced: block-cut tree is not an s-t path")
-        comp = nxt[0]
-        remaining.remove(comp)
-        ordered.append(comp)
-        if t in comp:
-            break
-        exits = sorted((cuts & comp) - {current})
-        if len(exits) != 1:
-            raise NotReducedError("not Rule-1 reduced: block-cut tree is not an s-t path")
-        current = exits[0]
-    if remaining:
+    blocks = st_blocks(g, s, t)
+    block_edges = [
+        [(u, v) for u in block for v in g.adjacency[u] if u < v and v in block]
+        for block in blocks
+    ]
+    if len(set().union(*blocks)) != g.n or sum(map(len, block_edges)) != g.m:
         raise NotReducedError("not Rule-1 reduced: blocks off the s-t chain exist")
+    cut_list = [min(a & b) for a, b in zip(blocks, blocks[1:])]
     components = []
-    cut_list: list[int] = []
-    entry = s
-    for i, comp in enumerate(ordered):
-        if i + 1 < len(ordered):
-            exit_v = sorted((cuts & comp) - {entry})[0]
-            cut_list.append(exit_v)
-        else:
-            exit_v = t
-        verts = sorted(comp)
+    for block, edges, entry, exit_v in zip(blocks, block_edges, (s, *cut_list), (*cut_list, t)):
+        verts = sorted(block)
         index = {v: j for j, v in enumerate(verts)}
-        sub_edges = [(index[u], index[v]) for u, v in component_edges(g, comp)]
         sub = Instance(
-            Graph(len(verts), sub_edges),
+            Graph(len(verts), [(index[u], index[v]) for u, v in edges]),
             index[entry],
             index[exit_v],
             tuple(instance.weights[v] for v in verts),
             instance.declared_class,
         )
         components.append(ChainComponent(sub, tuple(verts)))
-        entry = exit_v
     return BlockChain(tuple(components), tuple(cut_list))

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from trackpaths.graph import Graph, Instance
 from trackpaths.paths import simple_st_paths
-from trackpaths.verify import DEFAULT_PATH_CAP, verify_by_paths
+from trackpaths.verify import DEFAULT_PATH_CAP
 
 
 class ParseError(ValueError):
@@ -134,12 +134,20 @@ def reconstruct_path(
     cap: int = DEFAULT_PATH_CAP,
 ) -> list[int]:
     """The unique simple s-t path whose tracker subsequence equals
-    ``sequence``.  The trackers must form a valid tracking set."""
+    ``sequence``.  The trackers must form a valid tracking set: one pass over
+    the paths rejects the first repeated subsequence, as ``verify_by_paths``
+    would, and remembers the path that matches."""
     tset = set(trackers)
-    if not verify_by_paths(instance, tset, cap=cap).valid:
-        raise ReconstructionError("the given vertices are not a tracking set")
     want = tuple(sequence)
+    seen: set[tuple[int, ...]] = set()
+    match: Optional[list[int]] = None
     for path in simple_st_paths(instance.graph, instance.s, instance.t, cap=cap):
-        if tuple(v for v in path if v in tset) == want:
-            return list(path)
-    raise ReconstructionError("no such path")
+        sig = tuple(v for v in path if v in tset)
+        if sig in seen:
+            raise ReconstructionError("the given vertices are not a tracking set")
+        seen.add(sig)
+        if sig == want:
+            match = path
+    if match is None:
+        raise ReconstructionError("no such path")
+    return match

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from trackpaths.graph import Instance, NotReducedError, articulation_points
+from trackpaths.graph import Instance, NotReducedError, st_blocks
 from trackpaths.reduction import ReductionTrace, is_reduced, reduce_all
 
 
@@ -44,12 +44,19 @@ class SigmaConfig:
             raise ValueError("c3 below the boundary-neighborhood constant")
 
 
+def _cut_vertices(instance: Instance) -> set[int]:
+    """The vertices that consecutive blocks of the s-t chain share: on a
+    reduced instance, every cut vertex."""
+    blocks = st_blocks(instance.graph, instance.s, instance.t)
+    return {v for a, b in zip(blocks, blocks[1:]) for v in a & b}
+
+
 def lower_bound_maxdeg(instance: Instance) -> int:
     """max(0, max degree among non-cut vertices minus 2) on a reduced instance."""
     if not is_reduced(instance):
         raise NotReducedError("lower bound requires a fully reduced instance")
     g = instance.graph
-    cuts = articulation_points(g)
+    cuts = _cut_vertices(instance)
     degrees = [g.degree(v) for v in range(g.n) if v not in cuts]
     if not degrees:
         return 0
@@ -63,9 +70,10 @@ def instance_lower_bound(instance: Instance) -> int:
 
 
 def rule4(instance: Instance, k: int) -> bool:
-    """True = accept; False = reject (some non-cut vertex has degree > k+2)."""
+    """True = accept; False = reject (some non-cut vertex of a reduced
+    instance has degree > k+2)."""
     g = instance.graph
-    cuts = articulation_points(g)
+    cuts = _cut_vertices(instance)
     return all(g.degree(v) <= k + 2 for v in range(g.n) if v not in cuts)
 
 

@@ -1,8 +1,9 @@
 """Path primitives shared by the reduction rules and verifiers.
 
 ``st_path_edges`` finds every edge on some simple s-t path in one pass: those
-are the edges of the blocks on the s-t path of the block-cut tree.
-``simple_st_paths`` enumerates the paths themselves, for the path verifier.
+are the edges inside the blocks ``graph.st_blocks`` returns.
+``simple_st_paths`` enumerates the paths themselves, on an explicit stack,
+for the path verifier and path reconstruction.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional
 
-from trackpaths.graph import Graph, _blocks_from, norm_edge
+from trackpaths.graph import CapExceededError, Graph, norm_edge, st_blocks
 
 
 def reachable(graph: Graph, src: int, allowed: set[int]) -> set[int]:
@@ -34,44 +35,21 @@ def st_path_edges(
     """Edges that lie on some simple s-t path within ``allowed`` vertices.
 
     An edge lies on a simple s-t path iff its block lies on the s-t path of
-    the block-cut tree (Hopcroft and Tarjan 1973), so one lowpoint DFS from s
-    decides every edge at once, in O(n + m).  Empty when t is unreachable.
-    Without ``allowed`` only ``graph.adjacency`` is read, so any mapping from
-    a vertex to its neighbours will do there (the reduction's working graph).
+    the block-cut tree, so these are the edges inside ``graph.st_blocks``,
+    found in O(n + m).  Empty when t is unreachable.  Without ``allowed``
+    only ``graph.adjacency`` is read, as in ``st_blocks``.
     """
-    if s == t:
-        return set()
     if allowed is not None:
         if s not in allowed or t not in allowed:
             return set()
         graph = Graph(graph.n, [e for e in graph.edges if e[0] in allowed and e[1] in allowed])
-    # the vertex-block incidence graph of s's component is a tree: search it
-    # from s, then walk back from t through the blocks that reached it
-    blocks = _blocks_from(graph, s)
-    blocks_of: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        for v in block:
-            blocks_of.setdefault(v, []).append(i)
-    via: dict[int, tuple[int, int]] = {s: (-1, s)}  # vertex -> (block, previous vertex)
-    queue = deque([s])
-    while queue and t not in via:
-        u = queue.popleft()
-        for b in blocks_of[u]:
-            if b != via[u][0]:
-                for v in blocks[b]:
-                    if v not in via:
-                        via[v] = (b, u)
-                        queue.append(v)
-    if t not in via:
-        return set()
-    edges: set[tuple[int, int]] = set()
-    v = t
-    while v != s:
-        b, v = via[v]
-        block = blocks[b]
-        for u in block:
-            edges.update(norm_edge(u, w) for w in graph.adjacency[u] if w in block)
-    return edges
+    return {
+        norm_edge(u, w)
+        for block in st_blocks(graph, s, t)
+        for u in block
+        for w in graph.adjacency[u]
+        if w in block
+    }
 
 
 def edge_on_st_path(
@@ -88,9 +66,10 @@ def simple_st_paths(
     allowed: Optional[set[int]] = None,
     cap: Optional[int] = None,
 ) -> Iterator[list[int]]:
-    """Yield all simple s-t paths (as vertex lists) in deterministic order.
+    """Yield all simple s-t paths (as vertex lists) in deterministic order:
+    depth first, neighbours in increasing id.
 
-    Raises RuntimeError once more than ``cap`` paths have been produced.
+    Raises CapExceededError once more than ``cap`` paths have been produced.
     """
     if allowed is None:
         allowed = set(range(graph.n))
@@ -99,21 +78,22 @@ def simple_st_paths(
     count = 0
     path = [s]
     on_path = {s}
-
-    def dfs(u: int) -> Iterator[list[int]]:
-        nonlocal count
-        if u == t:
+    stack = [iter(graph.adjacency[s])]  # explicit DFS stack, one entry per path vertex
+    while stack:
+        if path[-1] == t:
             count += 1
             if cap is not None and count > cap:
-                raise RuntimeError("path count cap exceeded")
+                raise CapExceededError(f"more than {cap} simple s-t paths")
             yield list(path)
-            return
-        for v in graph.adjacency[u]:
+            rest = ()  # a path ends at t
+        else:
+            rest = stack[-1]
+        for v in rest:
             if v in allowed and v not in on_path:
                 path.append(v)
                 on_path.add(v)
-                yield from dfs(v)
-                path.pop()
-                on_path.discard(v)
-
-    yield from dfs(s)
+                stack.append(iter(graph.adjacency[v]))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())

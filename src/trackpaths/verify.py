@@ -194,37 +194,39 @@ def _bounded_path_search(
     current end.  Shortcutting the chords of a working path gives an induced
     one on a subset of its vertices, inside ``allowed1``, that leaves path 2
     at least the room it had and passes every pruning test the original did."""
-    remaining = [budget]
     path_set = {s}
-
-    def dfs(u: int) -> bool:
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise _BudgetExhausted
-        if u == sp:
-            return t in reachable(graph, tp, allowed2 - path_set)
-        if t not in reachable(graph, tp, allowed2 - path_set):
+    stack: list[tuple[int, Iterator[int]]] = []  # explicit DFS stack
+    v = s
+    while True:
+        # enter v, which was just added to the path
+        budget -= 1
+        if budget < 0:
+            return None
+        if t in reachable(graph, tp, allowed2 - path_set):
+            if v == sp:
+                return True
+            stack.append((v, iter(graph.adjacency[v])))
+        else:
+            path_set.discard(v)
+        # the next vertex to enter: the first induced extension of the
+        # deepest path that has one; when no path has one, sp is out of reach
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if (
+                    v in allowed1
+                    and v not in path_set
+                    and all(w == u or w not in path_set for w in graph.adjacency[v])
+                ):
+                    break
+            else:
+                stack.pop()
+                path_set.discard(u)
+                continue
+            path_set.add(v)
+            break
+        else:
             return False
-        for v in graph.adjacency[u]:
-            if (
-                v in allowed1
-                and v not in path_set
-                and all(w == u or w not in path_set for w in graph.adjacency[v])
-            ):
-                path_set.add(v)
-                if dfs(v):
-                    return True
-                path_set.discard(v)
-        return False
-
-    try:
-        return dfs(s)
-    except _BudgetExhausted:
-        return None
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _shortest_path(
@@ -321,17 +323,15 @@ def untracked_pair(
 def verify_by_paths(
     instance: Instance, trackers: set[int], cap: int = DEFAULT_PATH_CAP
 ) -> VerifyReport:
-    """Check tracker-sequence uniqueness by enumerating all simple s-t paths."""
+    """Check tracker-sequence uniqueness by enumerating all simple s-t paths;
+    more than ``cap`` of them raise CapExceededError."""
     g = instance.graph
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    try:
-        for path in simple_st_paths(g, instance.s, instance.t, cap=cap):
-            sig = tuple(v for v in path if v in trackers)
-            if sig in seen:
-                return VerifyReport(False, (seen[sig], tuple(path)))
-            seen[sig] = tuple(path)
-    except RuntimeError as exc:
-        raise CapExceededError("instance too large for path verifier") from exc
+    for path in simple_st_paths(g, instance.s, instance.t, cap=cap):
+        sig = tuple(v for v in path if v in trackers)
+        if sig in seen:
+            return VerifyReport(False, (seen[sig], tuple(path)))
+        seen[sig] = tuple(path)
     return VerifyReport(True)
 
 

@@ -1,4 +1,4 @@
-"""Graph core: construction invariants, blocks/articulation vs networkx."""
+"""Graph core: construction invariants, the s-t chain of blocks vs networkx."""
 
 import random
 
@@ -10,13 +10,11 @@ from trackpaths.graph import (
     Instance,
     NotConnectedError,
     NotReducedError,
-    articulation_points,
-    biconnected_components,
     block_chain,
     connected_components,
     find_cycle,
     is_acyclic,
-    is_connected,
+    st_blocks,
 )
 from trackpaths.generators import k4_chain
 
@@ -53,33 +51,36 @@ def _random_graph(rng, n, p):
     )
 
 
-def test_articulation_points_match_networkx():
-    rng = random.Random(5)
-    for _ in range(120):
-        g = _random_graph(rng, rng.randrange(3, 12), 0.35)
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        assert articulation_points(g) == set(nx.articulation_points(h))
-
-
-def test_biconnected_components_match_networkx():
+def test_st_blocks_match_networkx_block_cut_tree_path():
+    # the vertex-block incidence graph is a forest; the blocks on its s-t
+    # path, in order, are the blocks st_blocks must return
     rng = random.Random(6)
-    for _ in range(80):
-        g = _random_graph(rng, rng.randrange(3, 11), 0.45)
-        if not is_connected(g):
-            with pytest.raises(NotConnectedError):
-                biconnected_components(g)
-            continue
-        comps, cuts = biconnected_components(g)
+    unreachable = chained = 0
+    for _ in range(300):
+        n = rng.randrange(3, 12)
+        g = _random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
+        s, t = rng.sample(range(n), 2)
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
-        expected = {frozenset(c) for c in nx.biconnected_components(h)}
-        # isolated vertices form their own trivial block in our decomposition
-        ours = {frozenset(c) for c in comps if len(c) > 1}
-        assert ours == expected
-        assert cuts == set(nx.articulation_points(h))
+        tree = nx.Graph()
+        tree.add_nodes_from(("v", v) for v in range(n))
+        for i, block in enumerate(nx.biconnected_components(h)):
+            tree.add_edges_from((("b", i), ("v", v)) for v in block)
+            tree.nodes[("b", i)]["block"] = set(block)
+        assert nx.is_forest(tree)
+        if nx.has_path(tree, ("v", s), ("v", t)):
+            path = nx.shortest_path(tree, ("v", s), ("v", t))
+            expected = [tree.nodes[x]["block"] for x in path if x[0] == "b"]
+            chained += len(expected) >= 2
+        else:
+            expected = []
+            unreachable += 1
+        blocks = st_blocks(g, s, t)
+        assert blocks == expected, (n, sorted(g.edges), s, t)
+        for a, b in zip(blocks, blocks[1:]):
+            assert len(a & b) == 1
+    assert unreachable >= 20 and chained >= 20, (unreachable, chained)
 
 
 def test_acyclicity_and_cycle_finder_agree():
@@ -118,3 +119,16 @@ def test_block_chain_rejects_off_chain_blocks():
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)])
     with pytest.raises(NotReducedError):
         block_chain(Instance(g, 0, 2))
+
+
+def test_block_chain_on_disconnected_input_is_not_reduced():
+    # an edge off s's component, an isolated vertex, and t out of reach all
+    # lie outside the s-t blocks: NotReducedError, not NotConnectedError
+    for g, t in (
+        (Graph(5, [(0, 1), (1, 2), (3, 4)]), 2),
+        (Graph(4, [(0, 1), (1, 2)]), 2),
+        (Graph(4, [(0, 1), (2, 3)]), 3),
+    ):
+        with pytest.raises(NotReducedError) as info:
+            block_chain(Instance(g, 0, t))
+        assert not isinstance(info.value, NotConnectedError)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import sys
 
 import pytest
 
 from conftest import c4_instance, random_weights, theta_instance
 from trackpaths.cli import main
 from trackpaths.generators import grid
-from trackpaths.graph import Graph, Instance
+from trackpaths.graph import CapExceededError, Graph, Instance
 from trackpaths.io import (
     ParseError,
     ReconstructionError,
@@ -16,6 +17,7 @@ from trackpaths.io import (
     reconstruct_path,
     render_instance,
 )
+from trackpaths.verify import verify_by_paths
 
 C4_TEXT = """\
 # a four-cycle
@@ -74,6 +76,24 @@ def test_reconstruct_examples():
         reconstruct_path(inst, set(), [])  # not a tracking set
     with pytest.raises(ReconstructionError):
         reconstruct_path(inst, {1}, [1, 1])  # no such path
+
+
+def test_reconstruct_and_verify_a_long_path_without_recursion(tmp_path, capsys):
+    # one s-t path through 1,200 vertices: enumerating it must not recurse
+    limit = sys.getrecursionlimit()
+    n = 1200
+    inst = Instance(Graph(n, [(v, v + 1) for v in range(n - 1)]), 0, n - 1)
+    assert verify_by_paths(inst, set()).valid
+    assert reconstruct_path(inst, set(), []) == list(range(n))
+    f = tmp_path / "long.txt"
+    f.write_text(render_instance(inst))
+    assert main(["reconstruct", str(f), "--trackers", "", "--sequence", ""]) == 0
+    assert json.loads(capsys.readouterr().out)["path"] == list(range(1, n + 1))
+    assert sys.getrecursionlimit() == limit
+    # more paths than the cap: the cap error comes before any answer
+    k12 = Instance(Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]), 0, 11)
+    with pytest.raises(CapExceededError):
+        reconstruct_path(k12, set(range(12)), [0, 11], cap=50)
 
 
 @pytest.fixture()

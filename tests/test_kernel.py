@@ -1,12 +1,16 @@
 """Kernelization: rejection rules, decision preservation, size bounds."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import c4_instance, reduced_corpus, theta_instance
 from trackpaths.exact import exact_decision
 from trackpaths.graph import Graph, Instance, NotReducedError
+from trackpaths.reduction import reduce_all
 from trackpaths.kernel import (
     SigmaConfig,
     check_size_bounds,
@@ -31,6 +35,32 @@ def test_rule4_degree_threshold():
     inst = theta_instance()  # hubs have degree 3
     assert rule4(inst, 1)
     assert not rule4(inst, 0)
+
+
+def test_lower_bound_and_rule4_use_the_cut_vertices_of_the_kernel():
+    # random chains of blocks, each a cycle with random chords or a bridge,
+    # from s to t; on the reduced kernel the cut vertices of the s-t chain
+    # are all of them
+    rng = random.Random(13)
+    with_cuts = 0
+    for _ in range(200):
+        edges, cut, n = set(), 0, 1
+        for _ in range(rng.randrange(1, 5)):
+            k = rng.randrange(1, 5)
+            vs = [cut, *range(n, n + k)]
+            n += k
+            edges.update(zip(vs, vs[1:] + vs[:1]) if k > 1 else [tuple(vs)])
+            edges.update(e for e in combinations(vs, 2) if rng.random() < 0.3)
+            cut = rng.choice(vs[1:])
+        reduced, _ = reduce_all(Instance(Graph(n, edges), 0, cut))
+        h = nx.Graph(reduced.graph.edges)
+        cuts = set(nx.articulation_points(h))
+        degrees = [d for v, d in h.degree if v not in cuts]
+        assert lower_bound_maxdeg(reduced) == max(0, max(degrees) - 2)
+        for k in range(4):
+            assert rule4(reduced, k) == all(d <= k + 2 for d in degrees)
+        with_cuts += bool(cuts)
+    assert with_cuts >= 50, with_cuts
 
 
 def test_rule5_size_threshold():

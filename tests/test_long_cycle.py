@@ -7,7 +7,7 @@ Runs under pytest, or without it as a plain script:
 
 import sys
 
-from trackpaths.graph import Graph, Instance, biconnected_components, find_cycle
+from trackpaths.graph import Graph, Instance, find_cycle, st_blocks
 from trackpaths.reduction import rule1
 
 N = 200_000
@@ -20,8 +20,7 @@ def test_long_cycle_needs_no_recursion():
     assert reduced.graph == g
     assert (reduced.s, reduced.t) == (0, N // 2)
     assert trace.applied_rules == ()
-    blocks, cuts = biconnected_components(g)
-    assert blocks == [set(range(N))] and cuts == set()
+    assert st_blocks(g, 0, N // 2) == [set(range(N))]
     cycle = find_cycle(g)
     assert cycle is not None and sorted(cycle) == list(range(N))
     assert sys.getrecursionlimit() == limit

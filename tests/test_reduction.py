@@ -3,12 +3,13 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import c4_instance, reduced_corpus, theta_instance
 from trackpaths import approx, eptas, kernel, reduction
 from trackpaths.generators import grid
-from trackpaths.graph import Graph, Instance, articulation_points, connected_components
+from trackpaths.graph import Graph, Instance, connected_components
 from trackpaths.paths import reachable, simple_st_paths
 from trackpaths.reduction import (
     is_reduced,
@@ -100,7 +101,7 @@ def test_rule1_keeps_exactly_the_edges_of_simple_st_paths():
         assert is_rule1_reduced(inst) == (kept == set(range(n)) and want == g.edges)
         assert is_rule1_reduced(reduced)
         # tally the shapes the corpus must cover
-        seen["s_or_t_cut"] += bool({s, t} & articulation_points(g))
+        seen["s_or_t_cut"] += bool({s, t} & set(nx.articulation_points(nx.Graph(g.edges))))
         seen["bridge"] += any(
             t not in reachable(Graph(n, g.edges - {e}), s, set(range(n))) for e in want
         )

@@ -1,6 +1,7 @@
 """Entry-exit semantics and the two verifiers: spec anchors and properties."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import brute_connection, c4_instance, k4_instance, reduced_corpus, theta_instance
 from trackpaths import verify
 from trackpaths.cycles import simple_cycles
+from trackpaths.generators import grid
 from trackpaths.graph import CapExceededError, Graph, Instance, NotReducedError
 from trackpaths.paths import reachable
 from trackpaths.verify import (
@@ -256,3 +258,12 @@ def test_untracked_cycles_refuses_a_cycle_without_a_pair():
     inst = Instance(Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)]), 0, 2)
     with pytest.raises(NotReducedError):
         list(untracked_cycles(inst, set()))
+
+
+def test_pair_oracle_needs_no_recursion_on_a_long_ladder():
+    # a 1100 x 2 ladder with s and t on its first rung: the only feasible
+    # pair of the last square takes an induced path of 1,099 vertices
+    limit = sys.getrecursionlimit()
+    inst = Instance(grid(1100, 2).graph, 0, 1100)
+    assert cycle_entry_exit_pairs(inst, (1098, 1099, 2199, 2198)) == ((1098, 2198),)
+    assert sys.getrecursionlimit() == limit
