@@ -1,4 +1,5 @@
-"""Graph core: construction invariants, the s-t chain of blocks vs networkx."""
+"""Graph core: construction invariants, blocks, articulation points and the
+s-t chain of blocks vs networkx."""
 
 import random
 
@@ -10,6 +11,7 @@ from trackpaths.graph import (
     Instance,
     NotConnectedError,
     NotReducedError,
+    _blocks_from,
     block_chain,
     connected_components,
     find_cycle,
@@ -49,6 +51,45 @@ def _random_graph(rng, n, p):
     return Graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def _all_blocks(g):
+    # the lowpoint DFS behind st_blocks, run once from each component
+    blocks = []
+    for comp in connected_components(g):
+        root = min(comp)
+        found = _blocks_from(g, root)
+        assert all(block <= set(comp) for block in found)
+        if found != [{root}]:  # an isolated vertex has no block in networkx
+            blocks.extend(found)
+    return blocks
+
+
+def test_articulation_points_match_networkx():
+    rng = random.Random(5)
+    for _ in range(120):
+        g = _random_graph(rng, rng.randrange(3, 12), 0.35)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        seen: dict[int, int] = {}
+        for block in _all_blocks(g):
+            for v in block:
+                seen[v] = seen.get(v, 0) + 1
+        assert {v for v, k in seen.items() if k >= 2} == set(nx.articulation_points(h))
+
+
+def test_biconnected_components_match_networkx():
+    rng = random.Random(6)
+    for _ in range(80):
+        g = _random_graph(rng, rng.randrange(3, 11), 0.45)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        blocks = _all_blocks(g)
+        expected = {frozenset(c) for c in nx.biconnected_components(h)}
+        assert len(blocks) == len(expected)
+        assert {frozenset(b) for b in blocks} == expected
 
 
 def test_st_blocks_match_networkx_block_cut_tree_path():
