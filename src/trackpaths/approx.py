@@ -1,9 +1,13 @@
 """The two general-graph approximation pipelines.
 
-Both run per block of the s-t block chain and take the disjoint union of the
-per-block solutions.  The weighted pipeline covers the entry-exit cycle family
-with a greedy weighted set cover; the unweighted pipeline hits the dual family
-with the bounded-VC iterative-reweighting scheme.
+Both walk the kernel's s-t block chain once.  The chain's cut vertices give
+the max-degree lower bound; each block is solved on its own, with its cut
+vertices as its s and t, and the answer is the union of the per-block
+solutions.  The weighted pipeline covers the entry-exit cycle family with a
+greedy weighted set cover; the unweighted pipeline hits the dual family with
+the bounded-VC iterative-reweighting scheme.  A set tracks the kernel iff its
+restriction tracks every block, so validity is decided block by block, on
+the instances whose pair-oracle caches the solve has filled.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import time
 from trackpaths.cover import SetSystem, VCConfig, bg_hitting_set, greedy_weighted_set_cover
 from trackpaths.cycles import enumerate_cf, expand_entry_exit
 from trackpaths.fvs import fvs_2approx
-from trackpaths.graph import Instance, block_chain
-from trackpaths.kernel import lower_bound_maxdeg
+from trackpaths.graph import ChainComponent, Instance, NoPathError, block_chain
+from trackpaths.kernel import maxdeg_bound
 from trackpaths.reduction import lift_trackers, reduce_all
 from trackpaths.results import SolveResult
-from trackpaths.verify import verify_by_cycles
+from trackpaths.verify import untracked_cycles
 
 
 def _per_block(instance: Instance, method: str, key: str, cover) -> SolveResult:
@@ -25,13 +29,17 @@ def _per_block(instance: Instance, method: str, key: str, cover) -> SolveResult:
     set plus ``cover(sub, family, lb)``, the trackers for the block's
     entry-exit cycle family; ``stats[key]`` counts the cover's vertices."""
     t0 = time.perf_counter()
-    kernel, trace = reduce_all(instance)
-    lb = lower_bound_maxdeg(kernel)
     stats = {"fvs": 0, "cycles": 0, key: 0}
+    try:
+        kernel, trace = reduce_all(instance)
+    except NoPathError:  # no path to tell apart: the empty set tracks them all
+        return SolveResult(frozenset(), instance.weight_of(()), 0, method, True, stats)
+    chain = block_chain(kernel)
+    lb = maxdeg_bound(kernel.graph, chain.cut_vertices)
     if kernel.graph.n == 2:
         return SolveResult(frozenset(), instance.weight_of(()), lb, method, True, stats)
     trackers: set[int] = set()
-    for comp in block_chain(kernel).components:
+    for comp in chain.components:
         sub = comp.instance
         f = fvs_2approx(sub)
         stats["fvs"] += len(f.vertices)
@@ -42,12 +50,22 @@ def _per_block(instance: Instance, method: str, key: str, cover) -> SolveResult:
             chosen = cover(sub, family, lb)
             stats[key] += len(chosen)
             trackers.update(comp.to_parent[v] for v in set(f.vertices) | chosen)
-    report = verify_by_cycles(kernel, trackers)
+    # only after the loop: a later block may choose the cut vertex it shares
+    # with an earlier one, and that tracker counts in both
+    valid = all(_tracks_block(comp, trackers) for comp in chain.components)
     lifted = lift_trackers(trace, trackers)
     stats["seconds"] = time.perf_counter() - t0
     return SolveResult(
-        frozenset(lifted), instance.weight_of(lifted), lb, method, report.valid, stats
+        frozenset(lifted), instance.weight_of(lifted), lb, method, valid, stats
     )
+
+
+def _tracks_block(comp: ChainComponent, trackers: set[int]) -> bool:
+    """Whether the kernel trackers that fall in the block track it: no cycle
+    of the block is left untracked.  The block's instance is Rule-1-reduced
+    by construction, and its pair oracle reuses the answers the solve cached."""
+    local = [i for i, v in enumerate(comp.to_parent) if v in trackers]
+    return next(untracked_cycles(comp.instance, local), None) is None
 
 
 def _candidates(sub: Instance) -> list[int]:

@@ -1,8 +1,10 @@
 """Command-line surface: reduce, kernel, solve, verify, reconstruct, rdiv,
 bench.
 
-Results print as a single JSON object; exit codes are 0 success, 2 parse
-error, 3 verification failure, 4 cap exceeded.
+Results print as a single JSON object; exit codes are 0 success, 1 a step
+met a graph it cannot run on (no s-t path, unreduced or disconnected), 2
+parse error, 3 verification failure, 4 cap exceeded.  ``solve`` and
+``verify`` need no s-t path: without one the empty set tracks every path.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from trackpaths.cycles import enumerate_cf
 from trackpaths.eptas import eptas_solve
 from trackpaths.exact import exact_tracking_set
 from trackpaths.fvs import fvs_2approx
-from trackpaths.graph import CapExceededError, Instance
+from trackpaths.graph import (
+    CapExceededError,
+    Instance,
+    NoPathError,
+    NotConnectedError,
+    NotReducedError,
+)
 from trackpaths.io import ParseError, ReconstructionError, parse_instance, reconstruct_path, render_instance
 from trackpaths.kernel import kernelize
 from trackpaths.rdivision import relaxed_r_division
@@ -31,6 +39,7 @@ from trackpaths.results import SolveResult
 from trackpaths.verify import EntryExitCycle, VerifyReport, canonical_cycle, verify_by_cycles, verify_by_paths
 
 EXIT_OK = 0
+EXIT_PRECONDITION = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
@@ -78,7 +87,10 @@ def _verify_set(instance: Instance, trackers: set[int]):
     ids."""
     if instance.graph.n <= _PATHS_VERIFIER_MAX_N:
         return verify_by_paths(instance, trackers)
-    reduced, trace = rule1(instance)
+    try:
+        reduced, trace = rule1(instance)
+    except NoPathError:  # no path to tell apart
+        return VerifyReport(True)
     origin = [min(vs) for vs in trace.origin_map]
     report = verify_by_cycles(reduced, {kv for kv, v in enumerate(origin) if v in trackers})
     w = report.witness
@@ -359,6 +371,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (NoPathError, NotReducedError, NotConnectedError) as exc:
+        # the input parsed; a step's precondition on the graph failed
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PRECONDITION
     except (ParseError, FileNotFoundError, ValueError) as exc:
         if isinstance(exc, ReconstructionError):
             sys.stderr.write(f"error: {exc}\n")

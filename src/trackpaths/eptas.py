@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.graph import CapExceededError, Graph, Instance, norm_edge
+from trackpaths.graph import CapExceededError, Graph, Instance, NoPathError, norm_edge
 from trackpaths.kernel import SigmaConfig, lower_bound_maxdeg
 from trackpaths.paths import st_path_edges
 from trackpaths.rdivision import RDivision, Region, relaxed_r_division
@@ -128,7 +128,11 @@ def eptas_solve(
                 "pass r explicitly"
             )
     r = max(3, r)
-    kernel, trace = reduce_all(instance)
+    try:
+        kernel, trace = reduce_all(instance)
+    except NoPathError:  # no path to tell apart: the empty set tracks them all
+        return SolveResult(frozenset(), instance.weight_of(()), 0, "eptas", True,
+                           {"r": r, "regions": 0, "B": 0})
     lb = lower_bound_maxdeg(kernel)
     if kernel.graph.n == 2:
         return SolveResult(frozenset(), instance.weight_of(()), lb, "eptas", True,

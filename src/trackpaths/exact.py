@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.graph import CapExceededError, Instance
+from trackpaths.graph import CapExceededError, Instance, NoPathError
 from trackpaths.kernel import instance_lower_bound
 from trackpaths.reduction import lift_trackers, rule1
 from trackpaths.results import SolveResult
@@ -22,12 +22,16 @@ DEFAULT_MAX_N = 18
 
 
 def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveResult:
-    """Minimum-weight tracking set; ties by lexicographically smallest set."""
+    """Minimum-weight tracking set; ties by lexicographically smallest set.
+    Without an s-t path it is the empty set, whatever the size."""
+    try:
+        reduced, trace = rule1(instance)
+    except NoPathError:
+        return SolveResult(frozenset(), Fraction(0), 0, "exact", True)
     if instance.graph.n > max_n:
         raise CapExceededError(
             f"exact solver limited to {max_n} vertices, got {instance.graph.n}"
         )
-    reduced, trace = rule1(instance)
     g = reduced.graph
     if g.n == 2:
         report = verify_by_paths(instance, set())

@@ -16,6 +16,10 @@ class NotReducedError(ValueError):
     """Raised when an operation's reduction precondition is violated."""
 
 
+class NoPathError(ValueError):
+    """Raised when t is unreachable from s, so there is no s-t path."""
+
+
 class CapExceededError(RuntimeError):
     """Raised when an instance is too large for a bounded-size procedure."""
 

@@ -140,9 +140,9 @@ def reconstruct_path(
     tset = set(trackers)
     want = tuple(sequence)
     seen: set[tuple[int, ...]] = set()
-    match: Optional[list[int]] = None
+    match: Optional[tuple[int, ...]] = None
     for path in simple_st_paths(instance.graph, instance.s, instance.t, cap=cap):
-        sig = tuple(v for v in path if v in tset)
+        sig = tuple(filter(tset.__contains__, path))
         if sig in seen:
             raise ReconstructionError("the given vertices are not a tracking set")
         seen.add(sig)
@@ -150,4 +150,4 @@ def reconstruct_path(
             match = path
     if match is None:
         raise ReconstructionError("no such path")
-    return match
+    return list(match)

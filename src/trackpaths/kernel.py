@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from trackpaths.graph import Instance, NotReducedError, st_blocks
+from trackpaths.graph import Graph, Instance, NotReducedError, st_blocks
 from trackpaths.reduction import ReductionTrace, is_reduced, reduce_all
 
 
@@ -51,16 +51,19 @@ def _cut_vertices(instance: Instance) -> set[int]:
     return {v for a, b in zip(blocks, blocks[1:]) for v in a & b}
 
 
+def maxdeg_bound(graph: Graph, cut_vertices: Iterable[int]) -> int:
+    """max(0, max degree among the vertices outside ``cut_vertices`` minus 2):
+    the lower bound of a reduced instance whose cut vertices those are."""
+    cuts = set(cut_vertices)
+    degrees = (graph.degree(v) for v in range(graph.n) if v not in cuts)
+    return max(0, max(degrees, default=0) - 2)
+
+
 def lower_bound_maxdeg(instance: Instance) -> int:
-    """max(0, max degree among non-cut vertices minus 2) on a reduced instance."""
+    """The max-degree lower bound of a reduced instance."""
     if not is_reduced(instance):
         raise NotReducedError("lower bound requires a fully reduced instance")
-    g = instance.graph
-    cuts = _cut_vertices(instance)
-    degrees = [g.degree(v) for v in range(g.n) if v not in cuts]
-    if not degrees:
-        return 0
-    return max(0, max(degrees) - 2)
+    return maxdeg_bound(instance.graph, _cut_vertices(instance))
 
 
 def instance_lower_bound(instance: Instance) -> int:
@@ -71,10 +74,8 @@ def instance_lower_bound(instance: Instance) -> int:
 
 def rule4(instance: Instance, k: int) -> bool:
     """True = accept; False = reject (some non-cut vertex of a reduced
-    instance has degree > k+2)."""
-    g = instance.graph
-    cuts = _cut_vertices(instance)
-    return all(g.degree(v) <= k + 2 for v in range(g.n) if v not in cuts)
+    instance has degree > k+2, so the max-degree bound exceeds k)."""
+    return maxdeg_bound(instance.graph, _cut_vertices(instance)) <= k
 
 
 def rule5(instance: Instance, k: int) -> bool:

@@ -65,35 +65,39 @@ def simple_st_paths(
     t: int,
     allowed: Optional[set[int]] = None,
     cap: Optional[int] = None,
-) -> Iterator[list[int]]:
-    """Yield all simple s-t paths (as vertex lists) in deterministic order:
-    depth first, neighbours in increasing id.
+) -> Iterator[tuple[int, ...]]:
+    """Yield all simple s-t paths (as vertex tuples, s != t) in deterministic
+    order: depth first, neighbours in increasing id.
 
     Raises CapExceededError once more than ``cap`` paths have been produced.
     """
     if allowed is None:
-        allowed = set(range(graph.n))
-    if s not in allowed or t not in allowed:
+        blocked = [False] * graph.n  # on the path, or outside ``allowed``
+    elif s in allowed and t in allowed:
+        blocked = [v not in allowed for v in range(graph.n)]
+    else:
         return
+    adjacency = graph.adjacency
     count = 0
     path = [s]
-    on_path = {s}
-    stack = [iter(graph.adjacency[s])]  # explicit DFS stack, one entry per path vertex
+    blocked[s] = True
+    stack = [iter(adjacency[s])]  # explicit DFS stack, one entry per path vertex
     while stack:
-        if path[-1] == t:
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceededError(f"more than {cap} simple s-t paths")
-            yield list(path)
-            rest = ()  # a path ends at t
-        else:
-            rest = stack[-1]
-        for v in rest:
-            if v in allowed and v not in on_path:
-                path.append(v)
-                on_path.add(v)
-                stack.append(iter(graph.adjacency[v]))
-                break
+        for v in stack[-1]:
+            if blocked[v]:
+                continue
+            if v == t:  # a path ends at t: report it and try the next neighbour
+                count += 1
+                if cap is not None and count > cap:
+                    raise CapExceededError(f"more than {cap} simple s-t paths")
+                path.append(t)
+                yield tuple(path)
+                path.pop()
+                continue
+            path.append(v)
+            blocked[v] = True
+            stack.append(iter(adjacency[v]))
+            break
         else:
             stack.pop()
-            on_path.discard(path.pop())
+            blocked[path.pop()] = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from trackpaths.graph import Graph, Instance
+from trackpaths.graph import Graph, Instance, NoPathError
 from trackpaths.paths import st_path_edges
 
 
@@ -64,7 +64,7 @@ def _rule1(w: _Working):
     adj = w.adjacency
     surviving = st_path_edges(w, w.s, w.t)
     if not surviving:
-        raise ValueError("no s-t path exists; instance is infeasible for Rule 1")
+        raise NoPathError("no s-t path exists; instance is infeasible for Rule 1")
     keep = {w.s, w.t}
     for e in surviving:
         keep.update(e)
@@ -183,7 +183,7 @@ def is_rule1_reduced(instance: Instance) -> bool:
     g, s, t = instance.graph, instance.s, instance.t
     surviving = st_path_edges(g, s, t)
     if not surviving:
-        raise ValueError("no s-t path exists; instance is infeasible for Rule 1")
+        raise NoPathError("no s-t path exists; instance is infeasible for Rule 1")
     if len(surviving) != g.m:
         return False
     covered = {s, t}

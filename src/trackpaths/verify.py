@@ -328,10 +328,10 @@ def verify_by_paths(
     g = instance.graph
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for path in simple_st_paths(g, instance.s, instance.t, cap=cap):
-        sig = tuple(v for v in path if v in trackers)
+        sig = tuple(filter(trackers.__contains__, path))
         if sig in seen:
-            return VerifyReport(False, (seen[sig], tuple(path)))
-        seen[sig] = tuple(path)
+            return VerifyReport(False, (seen[sig], path))
+        seen[sig] = path
     return VerifyReport(True)
 
 

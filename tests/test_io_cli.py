@@ -166,6 +166,49 @@ def test_cli_parse_failure_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.txt"), "--method", "exact"]) == 2
 
 
+def _no_path_file(tmp_path):
+    # s on a 20-cycle, t on an edge of its own: 22 vertices, no s-t path
+    edges = [(v, v % 20 + 1) for v in range(1, 21)] + [(21, 22)]
+    f = tmp_path / "nopath.txt"
+    f.write_text(
+        f"p track 22 {len(edges)}\ns 1\nt 22\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    )
+    return str(f)
+
+
+def test_cli_solve_without_an_st_path_returns_the_empty_set(tmp_path, capsys):
+    nopath = _no_path_file(tmp_path)
+    for method in ("exact", "greedy", "bg", "eptas"):
+        argv = ["--declared-class", "planar", "solve", nopath, "--method", method]
+        assert main(argv) == 0, method
+        out = json.loads(capsys.readouterr().out)
+        assert out["trackers"] == [] and out["valid"] is True, method
+        assert out["weight"] == "0" and out["lower_bound"] == 0, method
+    # the cycle verifier's side (more than 14 vertices) agrees
+    assert main(["verify", nopath, "--trackers", ""]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_cli_precondition_errors_are_not_parse_errors(tmp_path, capsys, monkeypatch, c4_file):
+    from trackpaths import cli
+    from trackpaths.graph import NotReducedError
+
+    # Rule 1 needs an s-t path
+    assert main(["reduce", _no_path_file(tmp_path)]) == 1
+    # an r-division needs a connected graph
+    split = tmp_path / "split.txt"
+    split.write_text("p track 4 2\ns 1\nt 2\ne 1 2\ne 3 4\n")
+    assert main(["rdiv", str(split), "--r", "4"]) == 1
+
+    # a solver that meets an unreduced graph
+    def unreduced(instance):
+        raise NotReducedError("not Rule-1 reduced")
+
+    monkeypatch.setattr(cli, "approx_logn_weighted", unreduced)
+    assert main(["solve", c4_file, "--method", "greedy"]) == 1
+    assert "not Rule-1 reduced" in capsys.readouterr().err
+
+
 def test_cli_bench(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     rc = main(
