@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.graph import CapExceededError, Graph, Instance, NoPathError, norm_edge
-from trackpaths.kernel import SigmaConfig, lower_bound_maxdeg
+from trackpaths.graph import BlockChain, CapExceededError, Graph, Instance, norm_edge
+from trackpaths.kernel import SigmaConfig
 from trackpaths.paths import st_path_edges
 from trackpaths.rdivision import RDivision, Region, relaxed_r_division
-from trackpaths.reduction import lift_trackers, reduce_all
-from trackpaths.results import SolveResult
-from trackpaths.verify import untracked_ranges, verify_by_cycles
+from trackpaths.reduction import reduce_all
+from trackpaths.results import SolveResult, solve_on_chain
+from trackpaths.verify import untracked_ranges
 
 DEFAULT_REGION_CAP = 22
 
@@ -128,36 +128,26 @@ def eptas_solve(
                 "pass r explicitly"
             )
     r = max(3, r)
-    try:
-        kernel, trace = reduce_all(instance)
-    except NoPathError:  # no path to tell apart: the empty set tracks them all
-        return SolveResult(frozenset(), instance.weight_of(()), 0, "eptas", True,
-                           {"r": r, "regions": 0, "B": 0})
-    lb = lower_bound_maxdeg(kernel)
-    if kernel.graph.n == 2:
-        return SolveResult(frozenset(), instance.weight_of(()), lb, "eptas", True,
-                           {"r": r, "regions": 0, "B": 0, "kernel_n": 2})
-    division = relaxed_r_division(kernel.graph, r)
-    trackers: set[int] = set()
-    solutions = []
-    for region in division.regions:
-        sol = solve_region(kernel, region, cap=region_cap)
-        solutions.append(sol)
-        trackers |= set(sol.opt_r) | set(region.boundary) | set(sol.nbhd)
-    report = verify_by_cycles(kernel, trackers)
-    lifted = lift_trackers(trace, trackers)
-    stats = {
-        "r": r,
-        "regions": len(division.regions),
-        "B": division.B,
-        "kernel_n": kernel.graph.n,
-        "boundary_total": sum(len(s.region.boundary) for s in solutions),
-        "opt_r_total": sum(len(s.opt_r) for s in solutions),
-        "nbhd_total": sum(len(s.nbhd) for s in solutions),
-    }
-    return SolveResult(
-        frozenset(lifted), instance.weight_of(lifted), lb, "eptas", report.valid, stats
-    )
+
+    def core(kernel: Instance, chain: BlockChain, lb: int, stats: dict) -> set[int]:
+        division = relaxed_r_division(kernel.graph, r)
+        trackers: set[int] = set()
+        solutions = []
+        for region in division.regions:
+            sol = solve_region(kernel, region, cap=region_cap)
+            solutions.append(sol)
+            trackers |= set(sol.opt_r) | set(region.boundary) | set(sol.nbhd)
+        stats.update(
+            r=r,
+            regions=len(division.regions),
+            B=division.B,
+            boundary_total=sum(len(s.region.boundary) for s in solutions),
+            opt_r_total=sum(len(s.opt_r) for s in solutions),
+            nbhd_total=sum(len(s.nbhd) for s in solutions),
+        )
+        return trackers
+
+    return solve_on_chain(instance, "eptas", reduce_all, core)
 
 
 def eptas_division(instance: Instance, r: int) -> tuple[Instance, RDivision]:

@@ -9,57 +9,44 @@ answer hits.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from trackpaths.cover import min_weight_hitting_set
-from trackpaths.graph import CapExceededError, Instance, NoPathError
-from trackpaths.kernel import instance_lower_bound
-from trackpaths.reduction import lift_trackers, rule1
-from trackpaths.results import SolveResult
-from trackpaths.verify import untracked_ranges, verify_by_paths
+from trackpaths.graph import BlockChain, CapExceededError, Instance, NoPathError
+from trackpaths.reduction import rule1
+from trackpaths.results import SolveResult, solve_on_chain
+from trackpaths.verify import untracked_ranges
 
 DEFAULT_MAX_N = 18
 
 
+def _check_cap(instance: Instance, max_n: int, what: str) -> None:
+    if instance.graph.n > max_n:
+        raise CapExceededError(f"exact {what} limited to {max_n} vertices, got {instance.graph.n}")
+
+
 def exact_tracking_set(instance: Instance, max_n: int = DEFAULT_MAX_N) -> SolveResult:
     """Minimum-weight tracking set; ties by lexicographically smallest set.
-    Without an s-t path it is the empty set, whatever the size."""
-    try:
-        reduced, trace = rule1(instance)
-    except NoPathError:
-        return SolveResult(frozenset(), Fraction(0), 0, "exact", True)
-    if instance.graph.n > max_n:
-        raise CapExceededError(
-            f"exact solver limited to {max_n} vertices, got {instance.graph.n}"
-        )
-    g = reduced.graph
-    if g.n == 2:
-        report = verify_by_paths(instance, set())
-        return SolveResult(frozenset(), Fraction(0), 0, "exact", report.valid)
-    best = min_weight_hitting_set(range(g.n), reduced.weights, untracked_ranges(reduced))
-    lifted = lift_trackers(trace, set(best))
-    report = verify_by_paths(instance, lifted) if instance.graph.n <= 12 else None
-    valid = report.valid if report is not None else True
-    return SolveResult(
-        frozenset(lifted),
-        instance.weight_of(lifted),
-        instance_lower_bound(instance),
-        "exact",
-        valid,
-        {"kernel_n": g.n},
-    )
+
+    It searches the Rule-1 kernel, not the Rule 1-3 one: Rule 3's contraction
+    keeps only the min-id weight, which would change a weighted optimum.
+    """
+
+    def core(kernel: Instance, chain: BlockChain, lb: int, stats: dict) -> set[int]:
+        _check_cap(instance, max_n, "solver")
+        n = kernel.graph.n
+        return set(min_weight_hitting_set(range(n), kernel.weights, untracked_ranges(kernel)))
+
+    return solve_on_chain(instance, "exact", rule1, core)
 
 
 def exact_decision(instance: Instance, k: int, max_n: int = DEFAULT_MAX_N) -> bool:
-    """True iff a tracking set of size at most k exists (unit cardinality)."""
-    if instance.graph.n > max_n:
-        raise CapExceededError(
-            f"exact decision limited to {max_n} vertices, got {instance.graph.n}"
-        )
-    reduced, _ = rule1(instance)
-    n = reduced.graph.n
-    if n == 2:
+    """True iff a tracking set of size at most k exists (unit cardinality).
+    Without an s-t path the empty set tracks the instance, for every k >= 0."""
+    _check_cap(instance, max_n, "decision")
+    try:
+        reduced, _ = rule1(instance)
+    except NoPathError:
         return k >= 0
+    n = reduced.graph.n
     violated = untracked_ranges(reduced)
     # a relaxation optimum above k already settles the answer: stop there
     best = min_weight_hitting_set(

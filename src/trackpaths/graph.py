@@ -300,8 +300,9 @@ def block_chain(instance: Instance) -> BlockChain:
 
     The block-cut tree of a Rule-1-reduced graph is an s-t path; each block
     of ``st_blocks`` becomes a sub-instance, entered at the cut vertex it
-    shares with the block before it.  Raises NotReducedError when a vertex or
-    an edge lies outside those blocks.
+    shares with the block before it; a chain of one block holds the instance
+    itself.  Raises NotReducedError when a vertex or an edge lies outside
+    those blocks.
     """
     g = instance.graph
     s, t = instance.s, instance.t
@@ -312,6 +313,8 @@ def block_chain(instance: Instance) -> BlockChain:
     ]
     if len(set().union(*blocks)) != g.n or sum(map(len, block_edges)) != g.m:
         raise NotReducedError("not Rule-1 reduced: blocks off the s-t chain exist")
+    if len(blocks) == 1:  # the instance is its one block: its pair-oracle answers carry over
+        return BlockChain((ChainComponent(instance, tuple(range(g.n))),), ())
     cut_list = [min(a & b) for a, b in zip(blocks, blocks[1:])]
     components = []
     for block, edges, entry, exit_v in zip(blocks, block_edges, (s, *cut_list), (*cut_list, t)):

@@ -60,23 +60,14 @@ def edge_on_st_path(
 
 
 def simple_st_paths(
-    graph: Graph,
-    s: int,
-    t: int,
-    allowed: Optional[set[int]] = None,
-    cap: Optional[int] = None,
+    graph: Graph, s: int, t: int, cap: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield all simple s-t paths (as vertex tuples, s != t) in deterministic
     order: depth first, neighbours in increasing id.
 
     Raises CapExceededError once more than ``cap`` paths have been produced.
     """
-    if allowed is None:
-        blocked = [False] * graph.n  # on the path, or outside ``allowed``
-    elif s in allowed and t in allowed:
-        blocked = [v not in allowed for v in range(graph.n)]
-    else:
-        return
+    blocked = [False] * graph.n  # on the path
     adjacency = graph.adjacency
     count = 0
     path = [s]

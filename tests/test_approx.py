@@ -13,11 +13,13 @@ from conftest import (
     single_edge_instance,
     theta_instance,
 )
-from trackpaths import graph, kernel, paths
-from trackpaths.approx import _tracks_block, approx_logn_weighted, approx_logopt_unweighted
+from trackpaths import eptas, generators, graph, kernel, paths
+from trackpaths.approx import approx_logn_weighted, approx_logopt_unweighted
 from trackpaths.cover import VCConfig
+from trackpaths.exact import exact_tracking_set
 from trackpaths.graph import Graph, Instance, block_chain
 from trackpaths.reduction import reduce_all
+from trackpaths.results import _tracks_block
 from trackpaths.verify import verify_by_cycles, verify_by_paths
 
 
@@ -34,6 +36,26 @@ def test_trivial_instance():
     for fn in (approx_logn_weighted, approx_logopt_unweighted):
         res = fn(single_edge_instance())
         assert res.trackers == frozenset() and res.valid
+
+
+def test_every_method_reports_kernel_n_and_seconds():
+    no_path = Instance(Graph(4, [(0, 1), (2, 3)]), 0, 3, declared_class="planar")
+    single = Instance(Graph(3, [(0, 1), (1, 2)]), 0, 1, declared_class="planar")  # Rule 1 drops 2
+    methods = {
+        "greedy": approx_logn_weighted,
+        "bg": approx_logopt_unweighted,
+        "eptas": lambda inst: eptas.eptas_solve(inst, r=9),
+        "exact": exact_tracking_set,
+    }
+    for inst, kernel_n in ((generators.grid(4, 3), None), (single, 2), (no_path, 0)):
+        for name, solve in methods.items():
+            res = solve(inst)
+            assert res.valid, name
+            assert res.stats["seconds"] >= 0, name
+            if kernel_n is None:
+                assert res.stats["kernel_n"] > 2, name
+            else:
+                assert res.stats["kernel_n"] == kernel_n and res.trackers == frozenset(), name
 
 
 def test_logn_random_feasible_and_accounted():
@@ -114,22 +136,45 @@ def test_per_block_validity_equals_whole_kernel_validity():
 
 
 def test_one_chain_walk_per_approximate_solve(monkeypatch):
-    # two Rule-1 passes in reduce_all, then block_chain on the kernel: the
-    # lower bound and the validity check read the chain block_chain returns
+    # two Rule-1 passes in reduce_all (one Rule-1 pass for exact), then
+    # block_chain on the kernel: the lower bound and the validity check read
+    # the chain block_chain returns.  eptas's pi_subgraph walks each region's
+    # boundary pairs on top of that; those walks are not counted here.
     calls = []
+    in_pi = []
 
     def counted(*args):
-        calls.append(args)
+        if not in_pi:
+            calls.append(args)
         return walk(*args)
 
-    walk = graph.st_blocks
+    def pi_subgraph(*args):
+        in_pi.append(True)
+        try:
+            return real_pi(*args)
+        finally:
+            in_pi.pop()
+
+    walk, real_pi = graph.st_blocks, eptas.pi_subgraph
     for module in (graph, paths, kernel):
         monkeypatch.setattr(module, "st_blocks", counted)
-    inst = _random_chain(random.Random(5))
-    assert len(block_chain(reduce_all(inst)[0]).components) > 1
-    calls.clear()
-    for solve in (approx_logn_weighted, approx_logopt_unweighted):
-        res = solve(inst)
-        assert res.valid and verify_by_paths(inst, set(res.trackers)).valid
-        assert len(calls) == 3, solve.__name__
-        calls.clear()
+    monkeypatch.setattr(eptas, "pi_subgraph", pi_subgraph)
+    # a K4 chain with s hanging from it by one edge, so Rule 2 has work
+    k4s = generators.k4_chain(2)
+    n = k4s.graph.n
+    planar = Instance(Graph(n + 1, [*k4s.graph.edges, (n, k4s.s)]), n, k4s.t, declared_class="planar")
+    solves = {
+        "greedy": (approx_logn_weighted, 3),
+        "bg": (approx_logopt_unweighted, 3),
+        "eptas": (lambda inst: eptas.eptas_solve(inst, r=9), 3),
+        "exact": (exact_tracking_set, 2),
+    }
+    for inst in (_random_chain(random.Random(5)), planar):
+        assert len(block_chain(reduce_all(inst)[0]).components) > 1
+        for name, (solve, walks) in solves.items():
+            if inst is not planar and name in ("eptas", "exact"):
+                continue  # not planar-declared, and above exact's size cap
+            calls.clear()
+            res = solve(inst)
+            assert res.valid and verify_by_paths(inst, set(res.trackers)).valid
+            assert len(calls) == walks, name

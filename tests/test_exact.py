@@ -15,7 +15,8 @@ from conftest import (
     theta_instance,
 )
 from trackpaths.exact import exact_decision, exact_tracking_set
-from trackpaths.graph import CapExceededError, Graph, Instance
+from trackpaths.graph import CapExceededError, Graph, Instance, NoPathError
+from trackpaths.kernel import instance_lower_bound
 from trackpaths.verify import verify_by_paths
 
 
@@ -68,6 +69,38 @@ def test_decision_monotone_in_k():
         opt = len(exact_tracking_set(inst).trackers)
         for k, ans in enumerate(answers):
             assert ans == (opt <= k)
+
+
+def test_decision_without_an_st_path_is_yes():
+    # the empty set tracks an instance with no s-t path
+    inst = Instance(Graph(4, [(0, 1), (2, 3)]), 0, 3)
+    assert all(exact_decision(inst, k) for k in range(4))
+    assert not exact_decision(inst, -1)
+
+
+def test_lower_bound_is_the_rule1_chain_bound():
+    # on reduced inputs it is the max-degree bound of the Rules 1-3 kernel
+    for inst in reduced_corpus(30, seed=531, n_lo=5, n_hi=12):
+        assert exact_tracking_set(inst).lower_bound == instance_lower_bound(inst)
+    # on the Rule-1 kernel a terminal hanging by one edge still stands and its
+    # neighbour is a cut vertex, so the bound can fall below the Rules 1-3
+    # one; it never exceeds the optimum
+    below = 0
+    for i in range(60):
+        rng = random.Random(9100 + i)
+        n = rng.randrange(5, 11)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        hub = max(range(n), key=Graph(n, edges).degree)
+        inst = Instance(Graph(n + 1, [*edges, (hub, n)]), n, (hub + 1) % n)  # s hangs from hub
+        res = exact_tracking_set(inst)
+        assert res.lower_bound <= len(res.trackers)
+        try:
+            full = instance_lower_bound(inst)
+        except NoPathError:
+            continue
+        assert res.lower_bound <= full
+        below += res.lower_bound < full
+    assert below > 0
 
 
 def test_size_cap():

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from conftest import c4_instance, reduced_corpus, theta_instance
-from trackpaths import approx, eptas, kernel, reduction
+from trackpaths import approx, eptas, exact, kernel, reduction
 from trackpaths.generators import grid
 from trackpaths.graph import Graph, Instance, connected_components
 from trackpaths.paths import reachable, simple_st_paths
@@ -315,27 +315,35 @@ def _chain_with_pendants(blocks=4):
 
 
 def test_one_reduction_per_solve(monkeypatch):
-    calls = []
-    real = reduction.reduce_all
+    calls = []  # (rule, instance)
+    real = {"reduce_all": reduction.reduce_all, "rule1": reduction.rule1}
 
-    def counted(instance):
-        calls.append(instance)
-        return real(instance)
+    def counter(rule):
+        def counted(instance):
+            calls.append((rule, instance))
+            return real[rule](instance)
+
+        return counted
 
     for mod in (approx, eptas, kernel, reduction):
-        monkeypatch.setattr(mod, "reduce_all", counted)
+        monkeypatch.setattr(mod, "reduce_all", counter("reduce_all"))
+    for mod in (exact, reduction):
+        monkeypatch.setattr(mod, "rule1", counter("rule1"))
     for inst in (grid(5, 5, perturb=2, seed=3), _chain_with_pendants()):
         solves = {
             "greedy": lambda: approx.approx_logn_weighted(inst),
             "bg": lambda: approx.approx_logopt_unweighted(inst),
             "eptas": lambda: eptas.eptas_solve(inst, r=9),
             "kernelize": lambda: kernel.kernelize(inst, 3),
+            # exact searches the Rule-1 kernel: one rule1 call, no reduce_all
+            "exact": lambda: exact.exact_tracking_set(inst, max_n=inst.graph.n),
         }
         for name, solve in solves.items():
             calls.clear()
             solve()
-            assert len(calls) == 1, name
-        reduced, _ = real(inst)
+            rule = "rule1" if name == "exact" else "reduce_all"
+            assert [r for r, _ in calls] == [rule], name
+        reduced, _ = real["reduce_all"](inst)
         assert not is_reduced(inst) and is_reduced(reduced)
         calls.clear()
         is_reduced(inst)
