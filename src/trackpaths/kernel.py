@@ -11,15 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from trackpaths.graph import Graph, Instance, NotReducedError, st_blocks
+from trackpaths.graph import Graph, Instance, NoPathError, NotReducedError, st_blocks
 from trackpaths.reduction import ReductionTrace, is_reduced, reduce_all
 
 
 @dataclass(frozen=True)
 class KernelOutcome:
     decision: str  # "kernel" | "trivial_no"
-    kernel_instance: Optional[Instance]
-    trace: ReductionTrace
+    kernel_instance: Optional[Instance]  # None also when t is unreachable
+    trace: Optional[ReductionTrace]  # None when t is unreachable
     k: int
     reason: Optional[str] = None  # rule that rejected, if any
 
@@ -85,8 +85,13 @@ def rule5(instance: Instance, k: int) -> bool:
 
 
 def kernelize(instance: Instance, k: int) -> KernelOutcome:
-    """Rules 1-3 to a fixpoint, then the rejection Rules 4 and 5."""
-    reduced, trace = reduce_all(instance)
+    """Rules 1-3 to a fixpoint, then the rejection Rules 4 and 5.  Without
+    an s-t path the empty set tracks the instance: a yes-kernel for every
+    k >= 0, with no kernel instance."""
+    try:
+        reduced, trace = reduce_all(instance)
+    except NoPathError:
+        return KernelOutcome("kernel", None, None, k)
     if reduced.graph.n == 2:  # single edge (s,t): trivially a yes-kernel
         return KernelOutcome("kernel", reduced, trace, k)
     if not rule4(reduced, k):

@@ -11,26 +11,31 @@ cycles from it.
 
 The pair oracle asks, for a cycle C and an ordered pair (sp, tp) on it,
 whether there are vertex-disjoint paths s->sp and tp->t in G - (C - {sp, tp})
-(a 2-linkage question).  A pair with s or t on C needs one reachability
-test.  Every other pair of one cycle shares R1 = reachable(s, V - C - {t})
-and R2 = reachable(t, V - C - {s}), computed at most once per
-``entry_exit_pairs`` or ``untracked_pair`` call, and is settled by the
-first rung that decides it:
+(a 2-linkage question).  The pairs of one cycle share the sides
+R1 = reachable(s, V - C - {t}) and R2 = reachable(t, V - C - {s}), computed
+at most once per ``entry_exit_pairs`` or ``untracked_pair`` call.  A cycle
+through s or t is answered from the sides alone: (s, tp) is feasible iff tp
+has a neighbour in R2, and (sp, t) iff sp has one in R1.  Every other pair is
+settled by the first rung that decides it:
 
 1. side reject: False if sp has no neighbour in R1 or tp none in R2;
 2. apart accept: True if R1 and R2 are disjoint (as when C separates s from t);
-3. shortest-path probes: True if a shortest path on one side leaves the
-   other side connected;
-4. induced DFS: a budgeted search over induced paths s->sp, which suffice
+3. probe 1, once per sp: True if tp has a neighbour in
+   reachable(t, V - C - P1) for a shortest path P1 = s->sp;
+4. probe 2, once per tp: True if sp has a neighbour in
+   reachable(s, V - C - P2) for a shortest path P2 = tp->t;
+5. induced DFS: a budgeted search over induced paths s->sp, which suffice
    because shortcutting a chord of path 1 keeps it on a subset of its own
-   vertices, so it still avoids path 2;
-5. frontier DP: the exact program of ``disjoint.two_disjoint_paths``.
+   vertices, so it still avoids path 2; each depth keeps a witness path
+   tp->t and searches for a new one only when the path steps onto it;
+6. frontier DP: the exact program of ``disjoint.two_disjoint_paths``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
 from trackpaths.graph import (
     CapExceededError,
@@ -98,12 +103,26 @@ def _connection_oracle(
 
     The two sides R1 = reachable(s, V - sub - {t}) and R2 = reachable(t,
     V - sub - {s}) are computed once, at the first query that needs them, and
-    live only as long as the returned function.
+    the probes once per sp and once per tp; all live only as long as the
+    returned function.
     """
     graph, s, t = instance.graph, instance.s, instance.t
+    adjacency = graph.adjacency
     cache = instance._conn_cache
     rest: Optional[set[int]] = None  # V - sub
     sides: Optional[tuple[set[int], set[int]]] = None  # (R1, R2)
+    # sp -> reachable(t, V - sub - P1) for a shortest path P1 = s->sp, and
+    # tp -> reachable(s, V - sub - P2) for a shortest path P2 = tp->t
+    beyond1: dict[int, set[int]] = {}
+    beyond2: dict[int, set[int]] = {}
+
+    def beyond(memo: dict, end: int, src: int, dst: int, root: int) -> set[int]:
+        # reachable(root, V - sub - P) for a shortest path P = src->dst
+        # inside V - sub - {root} + {end}
+        if end not in memo:
+            path = _shortest_path(graph, src, dst, (rest - {root}) | {end})
+            memo[end] = set() if path is None else reachable(graph, root, rest.difference(path))
+        return memo[end]
 
     def connected(sp: int, tp: int) -> bool:
         nonlocal rest, sides
@@ -113,26 +132,31 @@ def _connection_oracle(
             return False
         if s == sp and t == tp:
             return True
+        if sides is None:
+            rest = set(range(graph.n)) - sub
+            sides = (reachable(graph, s, rest - {t}), reachable(graph, t, rest - {s}))
+        r1, r2 = sides
+        # a cycle through s or t: path 1 or path 2 is that terminal alone
+        if s == sp:
+            return not r2.isdisjoint(adjacency[tp])
+        if t == tp:
+            return not r1.isdisjoint(adjacency[sp])
         key = (sub, sp, tp)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        if rest is None:
-            rest = set(range(graph.n)) - sub
-        if s == sp:
-            return t in reachable(graph, tp, rest | {tp})
-        if t == tp:
-            return sp in reachable(graph, s, rest | {sp})
-        if sides is None:
-            sides = (reachable(graph, s, rest - {t}), reachable(graph, t, rest - {s}))
-        r1, r2 = sides
-        if r1.isdisjoint(graph.adjacency[sp]) or r2.isdisjoint(graph.adjacency[tp]):
+        if r1.isdisjoint(adjacency[sp]) or r2.isdisjoint(adjacency[tp]):
             hit = False  # side reject: sp unreachable from s, or t from tp
         elif r1.isdisjoint(r2):
             hit = True  # apart accept: any two side paths are disjoint
         else:
-            hit = _connection_search(
-                graph, s, t, sp, tp, (rest - {t}) | {sp}, (rest - {s}) | {tp}
+            hit = (
+                # probes: a shortest path on one side leaves the other connected
+                not beyond(beyond1, sp, s, sp, t).isdisjoint(adjacency[tp])
+                or not beyond(beyond2, tp, tp, t, s).isdisjoint(adjacency[sp])
+                or _connection_search(
+                    graph, s, t, sp, tp, (rest - {t}) | {sp}, (rest - {s}) | {tp}
+                )
             )
         if len(cache) > _CONN_CACHE_MAX:
             cache.clear()
@@ -151,16 +175,10 @@ def _connection_search(
     allowed1: set[int],
     allowed2: set[int],
 ) -> bool:
-    """Rungs 3-5 of the pair oracle, for a pair that rungs 1-2 (side reject,
-    apart accept, in ``_connection_oracle``) left open: two shortest-path
-    probes, the induced DFS, then the exact frontier DP.  Induced paths s->sp
-    suffice: shortcutting a chord keeps path 1 on a subset of its vertices."""
-    p1 = _shortest_path(graph, s, sp, allowed1)
-    if p1 is not None and t in reachable(graph, tp, allowed2 - set(p1)):
-        return True
-    p2 = _shortest_path(graph, tp, t, allowed2)
-    if p2 is not None and sp in reachable(graph, s, allowed1 - set(p2)):
-        return True
+    """Rungs 5-6 of the pair oracle, for a pair that rungs 1-4 (in
+    ``_connection_oracle``) left open: the induced DFS, then the exact
+    frontier DP.  Induced paths s->sp suffice: shortcutting a chord keeps
+    path 1 on a subset of its vertices."""
     found = _bounded_path_search(graph, s, t, sp, tp, allowed1, allowed2, _DFS_PROBE_BUDGET)
     if found is not None:
         return found
@@ -187,31 +205,39 @@ def _bounded_path_search(
     allowed2: set[int],
     budget: int,
 ) -> Optional[bool]:
-    """DFS over induced paths s->sp with reachability pruning; None on
-    budget exhaustion.
+    """DFS over induced paths s->sp, pruned where no path tp->t avoids the
+    working path; None on budget exhaustion.
 
     A path is extended only by a vertex with no neighbour on it but the
     current end.  Shortcutting the chords of a working path gives an induced
     one on a subset of its vertices, inside ``allowed1``, that leaves path 2
-    at least the room it had and passes every pruning test the original did."""
+    at least the room it had and passes every pruning test the original did.
+    Each depth keeps a witness path tp->t; a child whose vertex is off its
+    parent's witness shares it, so the BFS reruns only when the entered
+    vertex lies on the witness."""
     path_set = {s}
-    stack: list[tuple[int, Iterator[int]]] = []  # explicit DFS stack
+    # explicit DFS stack: a path vertex, its untried neighbours, its witness
+    stack: list[tuple[int, Iterator[int], set[int]]] = []
     v = s
     while True:
         # enter v, which was just added to the path
         budget -= 1
         if budget < 0:
             return None
-        if t in reachable(graph, tp, allowed2 - path_set):
+        witness = stack[-1][2] if stack else None
+        if witness is None or v in witness:
+            path = _shortest_path(graph, tp, t, allowed2, path_set)
+            witness = None if path is None else set(path)
+        if witness is not None:
             if v == sp:
                 return True
-            stack.append((v, iter(graph.adjacency[v])))
+            stack.append((v, iter(graph.adjacency[v]), witness))
         else:
             path_set.discard(v)
         # the next vertex to enter: the first induced extension of the
         # deepest path that has one; when no path has one, sp is out of reach
         while stack:
-            u, rest = stack[-1]
+            u, rest, _ = stack[-1]
             for v in rest:
                 if (
                     v in allowed1
@@ -230,10 +256,10 @@ def _bounded_path_search(
 
 
 def _shortest_path(
-    graph: Graph, src: int, dst: int, allowed: set[int]
+    graph: Graph, src: int, dst: int, allowed: set[int], blocked: AbstractSet[int] = frozenset()
 ) -> Optional[list[int]]:
-    from collections import deque
-
+    """A shortest src->dst path inside ``allowed`` that steps on no vertex of
+    ``blocked``, or None."""
     if src not in allowed or dst not in allowed:
         return None
     prev: dict[int, Optional[int]] = {src: None}
@@ -248,7 +274,7 @@ def _shortest_path(
                 x = prev[x]
             return path[::-1]
         for v in graph.adjacency[u]:
-            if v in allowed and v not in prev:
+            if v in allowed and v not in prev and v not in blocked:
                 prev[v] = u
                 queue.append(v)
     return None

@@ -189,6 +189,12 @@ def test_cli_solve_without_an_st_path_returns_the_empty_set(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
+def test_cli_kernel_without_an_st_path_is_a_yes_kernel(tmp_path, capsys):
+    assert main(["kernel", _no_path_file(tmp_path), "--k", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"decision": "kernel", "k": 0, "kernel": None, "reason": None}
+
+
 def test_cli_precondition_errors_are_not_parse_errors(tmp_path, capsys, monkeypatch, c4_file):
     from trackpaths import cli
     from trackpaths.graph import NotReducedError

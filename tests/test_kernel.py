@@ -82,6 +82,14 @@ def test_kernelize_single_edge_always_yes_kernel():
     assert out.kernel_instance.graph.n == 2
 
 
+def test_kernelize_without_an_st_path_is_a_yes_kernel():
+    inst = Instance(Graph(4, [(0, 1), (2, 3)]), 0, 3)
+    for k in range(3):
+        out = kernelize(inst, k)
+        assert (out.decision, out.kernel_instance, out.trace, out.k) == ("kernel", None, None, k)
+        assert exact_decision(inst, k)
+
+
 def test_kernelize_preserves_decision():
     for inst in reduced_corpus(20, seed=401, n_lo=5, n_hi=9):
         for k in range(0, 4):

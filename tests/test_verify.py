@@ -2,16 +2,20 @@
 
 import random
 import sys
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from conftest import brute_connection, c4_instance, k4_instance, reduced_corpus, theta_instance
 from trackpaths import verify
-from trackpaths.cycles import simple_cycles
+from trackpaths.cycles import enumerate_cf, simple_cycles
+from trackpaths.disjoint import two_disjoint_paths
+from trackpaths.fvs import fvs_2approx
 from trackpaths.generators import grid
 from trackpaths.graph import CapExceededError, Graph, Instance, NotReducedError
 from trackpaths.paths import reachable
+from trackpaths.reduction import reduce_all
 from trackpaths.verify import (
     EntryExitCycle,
     VerifyReport,
@@ -267,3 +271,112 @@ def test_pair_oracle_needs_no_recursion_on_a_long_ladder():
     inst = Instance(grid(1100, 2).graph, 0, 1100)
     assert cycle_entry_exit_pairs(inst, (1098, 1099, 2199, 2198)) == ((1098, 2198),)
     assert sys.getrecursionlimit() == limit
+
+
+def _grid_kernel(seed: int) -> Instance:
+    return reduce_all(grid(5, 5, perturb=4, seed=seed))[0]
+
+
+def _fvs_cycles(inst: Instance):
+    return enumerate_cf(inst, fvs_2approx(inst).vertices).cycles
+
+
+def _open_pairs(inst: Instance, cyc):
+    """The pairs of a cycle avoiding s and t that pass side reject and are
+    not apart-accepted: those the probes, the DFS or the DP decide."""
+    g, s, t = inst.graph, inst.s, inst.t
+    if s in cyc or t in cyc:
+        return []
+    rest = set(range(g.n)) - set(cyc)
+    r1, r2 = reachable(g, s, rest - {t}), reachable(g, t, rest - {s})
+    if r1.isdisjoint(r2):
+        return []
+    return [
+        (sp, tp)
+        for sp, tp in permutations(cyc, 2)
+        if not r1.isdisjoint(g.adjacency[sp]) and not r2.isdisjoint(g.adjacency[tp])
+    ]
+
+
+def test_pair_oracle_matches_the_exact_program_on_larger_kernels(monkeypatch):
+    # the kernels of four perturbed 5x5 grids and two reduced ER-16 draws,
+    # where the probes share their paths and the DFS keeps witnesses
+    searched = []  # answers of the induced DFS rung
+    search = verify._bounded_path_search
+
+    def recording(*args):
+        found = search(*args)
+        searched.append(found)
+        return found
+
+    monkeypatch.setattr(verify, "_bounded_path_search", recording)
+    kernels = [_grid_kernel(seed) for seed in range(4)]
+    kernels += reduced_corpus(2, seed=514, n_lo=16, n_hi=16, p=0.3)
+    terminal = exact = 0
+    for inst in kernels:
+        g, s, t = inst.graph, inst.s, inst.t
+        for cyc in _fvs_cycles(inst):
+            got = set(entry_exit_pairs(inst, cyc))
+            rest = set(range(g.n)) - set(cyc)
+            for sp, tp in permutations(cyc, 2):
+                if sp == s and t not in cyc:
+                    want = t in reachable(g, tp, rest | {tp})
+                    terminal += 1
+                elif tp == t and s not in cyc:
+                    want = sp in reachable(g, s, rest | {sp})
+                    terminal += 1
+                else:
+                    continue
+                assert ((sp, tp) in got) == want, (g.edges, s, t, cyc, sp, tp)
+            for sp, tp in _open_pairs(inst, cyc):
+                want = two_disjoint_paths(g, s, sp, tp, t, (rest - {t}) | {sp}, (rest - {s}) | {tp})
+                assert ((sp, tp) in got) == want, (g.edges, s, t, cyc, sp, tp)
+                exact += 1
+    assert terminal >= 500 and exact >= 1000, (terminal, exact)
+    assert searched.count(False) >= 100, Counter(searched)
+
+
+def _terminal_cycles(inst: Instance):
+    """FVS-family cycles through exactly one of s and t."""
+    return [c for c in _fvs_cycles(inst) if (inst.s in c) != (inst.t in c)]
+
+
+def test_cycles_through_s_or_t_are_answered_from_the_sides(monkeypatch):
+    calls = []
+
+    def counting(graph, src, allowed):
+        calls.append(src)
+        return reachable(graph, src, allowed)
+
+    monkeypatch.setattr(verify, "reachable", counting)
+    inst = _grid_kernel(0)
+    cycles = _terminal_cycles(inst)
+    assert len(cycles) >= 10 and max(map(len, cycles)) >= 8, cycles
+    for cyc in cycles:
+        calls.clear()
+        assert entry_exit_pairs(Instance(inst.graph, inst.s, inst.t), cyc)
+        assert len(calls) <= 2, (cyc, calls)
+
+
+def test_probe_paths_run_once_per_endpoint(monkeypatch):
+    probes = []  # (src, dst) of every shortest path; the DFS and DP are stubbed out
+    path = verify._shortest_path
+
+    def recording(graph, src, dst, *args):
+        probes.append((src, dst))
+        return path(graph, src, dst, *args)
+
+    monkeypatch.setattr(verify, "_shortest_path", recording)
+    monkeypatch.setattr(verify, "_connection_search", lambda *args: False)
+    inst = _grid_kernel(0)
+    probed = shared = 0
+    for cyc in _fvs_cycles(inst):
+        probes.clear()
+        entry_exit_pairs(Instance(inst.graph, inst.s, inst.t), cyc)
+        counts = Counter(probes)
+        assert all(n == 1 for n in counts.values()), (cyc, counts)
+        assert all(src == inst.s or dst == inst.t for src, dst in counts), (cyc, counts)
+        pairs = len(_open_pairs(inst, cyc))
+        probed += len(probes)
+        shared += len(probes) < pairs
+    assert probed >= 100 and shared >= 20, (probed, shared)
