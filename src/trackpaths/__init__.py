@@ -11,6 +11,7 @@ independent verifiers.
 from trackpaths.approx import approx_logn_weighted, approx_logopt_unweighted
 from trackpaths.cover import SetSystem, VCConfig, bg_hitting_set, greedy_weighted_set_cover
 from trackpaths.cycles import CycleFamily, enumerate_cf, expand_entry_exit
+from trackpaths.disjoint import two_disjoint_paths
 from trackpaths.eptas import eptas_solve
 from trackpaths.exact import exact_decision, exact_tracking_set
 from trackpaths.fvs import fvs_2approx, fvs_exact
@@ -38,6 +39,7 @@ __all__ = [
     "verify_by_paths",
     "verify_by_cycles",
     "entry_exit_pairs",
+    "two_disjoint_paths",
     "enumerate_cf",
     "expand_entry_exit",
     "fvs_2approx",

@@ -20,10 +20,8 @@ from typing import Optional
 from trackpaths import generators
 from trackpaths.approx import approx_logn_weighted, approx_logopt_unweighted
 from trackpaths.cover import VCConfig
-from trackpaths.cycles import enumerate_cf
 from trackpaths.eptas import eptas_solve
 from trackpaths.exact import exact_tracking_set
-from trackpaths.fvs import fvs_2approx
 from trackpaths.graph import (
     CapExceededError,
     Instance,
@@ -254,50 +252,40 @@ def _bench_corpus(spec: str, seed: int) -> list[tuple[str, Instance]]:
 
 
 def _bench_row(name: str, inst: Instance, method: str, seed: int) -> dict:
-    row = {
-        "instance": name,
-        "n": inst.graph.n,
-        "m": inst.graph.m,
-        "class": inst.declared_class,
-        "method": method,
-    }
-    kernel, _ = reduce_all(inst)
-    row["kernel_n"] = kernel.graph.n
-    row["kernel_m"] = kernel.graph.m
-    cycles = b = ""
-    if kernel.graph.n > 2:
-        f = fvs_2approx(kernel)
-        if f.vertices:
-            cycles = len(enumerate_cf(kernel, f.vertices).cycles)
-        if inst.declared_class == "planar":
-            b = relaxed_r_division(kernel.graph, max(3, min(12, kernel.graph.n))).B
-    row["cycles"] = cycles
-    row["B"] = b
+    """One CSV row.  ``kernel_n``, ``kernel_m``, ``cycles`` (greedy, bg) and
+    ``B`` (eptas) come from the solve's own stats; a skipped row leaves them
+    blank."""
+    row = dict.fromkeys(BENCH_HEADER, "")
+    row.update(
+        {"instance": name, "n": inst.graph.n, "m": inst.graph.m,
+         "class": inst.declared_class, "method": method}
+    )
+    if method == "eptas" and inst.declared_class != "planar":
+        row["status"] = "skipped:class"  # the separator scheme needs a planar declaration
+        return row
     t0 = time.perf_counter()
     try:
         res = _solve(inst, method, seed=seed)
     except CapExceededError:
-        row.update(status="skipped:cap", size="", weight="", lower_bound="",
-                   opt="", ratio="", seconds=round(time.perf_counter() - t0, 4))
+        row.update(status="skipped:cap", seconds=round(time.perf_counter() - t0, 4))
         return row
     row["seconds"] = round(time.perf_counter() - t0, 4)
     row["status"] = "ok" if res.valid else "invalid"
     row["size"] = len(res.trackers)
     row["weight"] = str(res.total_weight)
     row["lower_bound"] = res.lower_bound
-    opt = ratio = ""
+    for key in ("kernel_n", "kernel_m", "cycles", "B"):
+        row[key] = res.stats.get(key, "")
     if inst.graph.n <= _BENCH_ORACLE_MAX_N:
         try:
             exact = exact_tracking_set(inst)
-            opt = str(exact.total_weight)
+            row["opt"] = str(exact.total_weight)
             if exact.total_weight > 0:
-                ratio = f"{float(res.total_weight / exact.total_weight):.3f}"
+                row["ratio"] = f"{float(res.total_weight / exact.total_weight):.3f}"
             elif res.total_weight == 0:
-                ratio = "1.000"
+                row["ratio"] = "1.000"
         except CapExceededError:
             pass
-    row["opt"] = opt
-    row["ratio"] = ratio
     return row
 
 

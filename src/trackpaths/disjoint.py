@@ -6,6 +6,9 @@ linear order chosen to keep the frontier (processed vertices that still have
 unprocessed neighbors) narrow; the DP state is the set of open partial path
 segments with ends on the frontier.  Exact whenever the frontier stays within
 the width cap; grid-like graphs have frontier about sqrt(n).
+
+No solver calls it: the pair oracle in ``verify`` answers every 2-linkage
+query itself.  It stays as an independent reference for the oracle's tests.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ def solve_on_chain(instance: Instance, method: str, reduce, core) -> SolveResult
     kernel is more than the single edge s-t.
 
     The lower bound is the max-degree bound over the chain's non-cut
-    vertices.  ``stats`` gets the core's own counts plus ``kernel_n`` (0 when
-    t is unreachable) and ``seconds``.
+    vertices.  ``stats`` gets the core's own counts plus ``kernel_n`` and
+    ``kernel_m`` (both 0 when t is unreachable) and ``seconds``.
     """
     t0 = time.perf_counter()
     stats: dict = {}
@@ -43,11 +43,11 @@ def solve_on_chain(instance: Instance, method: str, reduce, core) -> SolveResult
     try:
         kernel, trace = reduce(instance)
     except NoPathError:  # no path to tell apart: the empty set tracks them all
-        stats["kernel_n"] = 0
+        stats["kernel_n"] = stats["kernel_m"] = 0
     else:
         chain = block_chain(kernel)
         lb = maxdeg_bound(kernel.graph, chain.cut_vertices)
-        stats["kernel_n"] = kernel.graph.n
+        stats["kernel_n"], stats["kernel_m"] = kernel.graph.n, kernel.graph.m
         kernel_trackers = core(kernel, chain, lb, stats) if kernel.graph.n > 2 else set()
         valid = all(_tracks_block(comp, kernel_trackers) for comp in chain.components)
         trackers = lift_trackers(trace, kernel_trackers)

@@ -24,11 +24,14 @@ settled by the first rung that decides it:
    reachable(t, V - C - P1) for a shortest path P1 = s->sp;
 4. probe 2, once per tp: True if sp has a neighbour in
    reachable(s, V - C - P2) for a shortest path P2 = tp->t;
-5. induced DFS: a budgeted search over induced paths s->sp, which suffice
-   because shortcutting a chord of path 1 keeps it on a subset of its own
-   vertices, so it still avoids path 2; each depth keeps a witness path
-   tp->t and searches for a new one only when the path steps onto it;
-6. frontier DP: the exact program of ``disjoint.two_disjoint_paths``.
+5. induced DFS, the exact rung, with no budget: a search over induced paths
+   s->sp, which suffice because shortcutting a chord of path 1 keeps it on a
+   subset of its own vertices, so it still avoids path 2; it prunes only
+   where no path tp->t avoids the working path; each depth keeps a witness
+   path tp->t and searches for a new one only when the path steps onto it.
+
+No rung has a budget or a cap, so every query gets an exact answer and none
+raises ``CapExceededError``.
 """
 
 from __future__ import annotations
@@ -37,20 +40,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
-from trackpaths.graph import (
-    CapExceededError,
-    Graph,
-    Instance,
-    NotReducedError,
-    find_cycle,
-)
-from trackpaths.disjoint import two_disjoint_paths
+from trackpaths.graph import Graph, Instance, NotReducedError, find_cycle
 from trackpaths.paths import reachable, simple_st_paths
 from trackpaths.reduction import is_rule1_reduced
 
 DEFAULT_PATH_CAP = 200_000
-_DFS_PROBE_BUDGET = 20_000
-_SEARCH_BUDGET = 500_000
 # bound on the per-instance cache ``Instance._conn_cache``
 _CONN_CACHE_MAX = 500_000
 
@@ -104,7 +98,10 @@ def _connection_oracle(
     The two sides R1 = reachable(s, V - sub - {t}) and R2 = reachable(t,
     V - sub - {s}) are computed once, at the first query that needs them, and
     the probes once per sp and once per tp; all live only as long as the
-    returned function.
+    returned function.  A pair is settled by the rungs of the module
+    docstring in order: side reject, apart accept, probe 1, probe 2, and the
+    exact induced DFS of ``_connection_search``; answers go to
+    ``Instance._conn_cache``.
     """
     graph, s, t = instance.graph, instance.s, instance.t
     adjacency = graph.adjacency
@@ -175,38 +172,10 @@ def _connection_search(
     allowed1: set[int],
     allowed2: set[int],
 ) -> bool:
-    """Rungs 5-6 of the pair oracle, for a pair that rungs 1-4 (in
-    ``_connection_oracle``) left open: the induced DFS, then the exact
-    frontier DP.  Induced paths s->sp suffice: shortcutting a chord keeps
-    path 1 on a subset of its vertices."""
-    found = _bounded_path_search(graph, s, t, sp, tp, allowed1, allowed2, _DFS_PROBE_BUDGET)
-    if found is not None:
-        return found
-    try:
-        return two_disjoint_paths(graph, s, sp, tp, t, allowed1, allowed2)
-    except CapExceededError:
-        # frontier too wide for the exact program; one deep bounded search,
-        # then an honest abort
-        found = _bounded_path_search(
-            graph, s, t, sp, tp, allowed1, allowed2, _SEARCH_BUDGET
-        )
-        if found is not None:
-            return found
-        raise
-
-
-def _bounded_path_search(
-    graph: Graph,
-    s: int,
-    t: int,
-    sp: int,
-    tp: int,
-    allowed1: set[int],
-    allowed2: set[int],
-    budget: int,
-) -> Optional[bool]:
-    """DFS over induced paths s->sp, pruned where no path tp->t avoids the
-    working path; None on budget exhaustion.
+    """Rung 5 of the pair oracle, for a pair that rungs 1-4 (in
+    ``_connection_oracle``) left open: a DFS over induced paths s->sp inside
+    ``allowed1``, pruned where no path tp->t inside ``allowed2`` avoids the
+    working path.  Run to completion, it is exact.
 
     A path is extended only by a vertex with no neighbour on it but the
     current end.  Shortcutting the chords of a working path gives an induced
@@ -221,9 +190,6 @@ def _bounded_path_search(
     v = s
     while True:
         # enter v, which was just added to the path
-        budget -= 1
-        if budget < 0:
-            return None
         witness = stack[-1][2] if stack else None
         if witness is None or v in witness:
             path = _shortest_path(graph, tp, t, allowed2, path_set)

@@ -1,5 +1,6 @@
 """Instance file format, path reconstruction, and the command-line interface."""
 
+import csv
 import json
 import os
 import sys
@@ -233,6 +234,31 @@ def test_cli_bench(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2  # header + 3 instances x 2 methods
     header = lines[0].split(",")
     assert "method" in header and "status" in header
+    # eptas needs a planar declaration: on a mixed corpus its general rows
+    # are skipped, and every solved row reports its own kernel and counts
+    assert main(
+        [
+            "bench",
+            "--corpus",
+            "er:n=8,p=0.4,count=1;grid:w=3",
+            "--methods",
+            "greedy,eptas",
+            "--out",
+            str(out_csv),
+        ]
+    ) == 0
+    with open(out_csv, newline="") as fh:
+        rows = {(r["class"], r["method"]): r for r in csv.DictReader(fh)}
+    assert len(rows) == 4
+    skipped = rows[("general", "eptas")]
+    assert skipped["status"] == "skipped:class"
+    assert skipped["size"] == skipped["kernel_n"] == skipped["B"] == ""
+    for (_, method), row in rows.items():
+        if row is skipped:
+            continue
+        assert row["status"] == "ok" and int(row["kernel_n"]) > 2, row
+        assert (row["cycles"] != "") == (method == "greedy"), row
+        assert (row["B"] != "") == (method == "eptas"), row
 
 
 def test_cli_verify_large_unreduced_instance(tmp_path, capsys):

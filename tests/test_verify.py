@@ -168,14 +168,14 @@ def _separates(inst: Instance, cyc) -> bool:
 
 def test_pair_oracle_matches_path_enumeration(monkeypatch):
     searched = []  # answers of the induced DFS rung
-    search = verify._bounded_path_search
+    search = verify._connection_search
 
     def recording(*args):
         found = search(*args)
         searched.append(found)
         return found
 
-    monkeypatch.setattr(verify, "_bounded_path_search", recording)
+    monkeypatch.setattr(verify, "_connection_search", recording)
     rng = random.Random(505)
     through_st = separating = 0
     for inst, cyc in _oracle_corpus():
@@ -283,7 +283,7 @@ def _fvs_cycles(inst: Instance):
 
 def _open_pairs(inst: Instance, cyc):
     """The pairs of a cycle avoiding s and t that pass side reject and are
-    not apart-accepted: those the probes, the DFS or the DP decide."""
+    not apart-accepted: those the probes or the DFS decide."""
     g, s, t = inst.graph, inst.s, inst.t
     if s in cyc or t in cyc:
         return []
@@ -302,14 +302,14 @@ def test_pair_oracle_matches_the_exact_program_on_larger_kernels(monkeypatch):
     # the kernels of four perturbed 5x5 grids and two reduced ER-16 draws,
     # where the probes share their paths and the DFS keeps witnesses
     searched = []  # answers of the induced DFS rung
-    search = verify._bounded_path_search
+    search = verify._connection_search
 
     def recording(*args):
         found = search(*args)
         searched.append(found)
         return found
 
-    monkeypatch.setattr(verify, "_bounded_path_search", recording)
+    monkeypatch.setattr(verify, "_connection_search", recording)
     kernels = [_grid_kernel(seed) for seed in range(4)]
     kernels += reduced_corpus(2, seed=514, n_lo=16, n_hi=16, p=0.3)
     terminal = exact = 0
@@ -336,6 +336,37 @@ def test_pair_oracle_matches_the_exact_program_on_larger_kernels(monkeypatch):
     assert searched.count(False) >= 100, Counter(searched)
 
 
+# cycles of the plain 8x8 grid, ids row-major, each with a pair that only the
+# induced DFS decides and whose search enters more than 20,000 paths
+_DEEP_PAIRS = [
+    ((10, 11, 12, 13, 21, 29, 28, 27, 26, 18), (12, 11)),
+    ((12, 13, 14, 15, 23, 31, 39, 47, 46, 45, 44, 36, 28, 20), (47, 46)),
+    ((3, 4, 12, 20, 28, 36, 44, 52, 51, 43, 35, 27, 19, 11), (4, 12)),
+    ((24, 25, 26, 27, 28, 29, 30, 38, 37, 36, 35, 34, 33, 32), (32, 33)),
+]
+
+
+def test_pair_oracle_runs_deep_searches_to_the_end(monkeypatch):
+    searched = []  # the pairs that reached the induced DFS
+    search = verify._connection_search
+
+    def recording(graph, s, t, sp, tp, allowed1, allowed2):
+        searched.append((sp, tp))
+        return search(graph, s, t, sp, tp, allowed1, allowed2)
+
+    monkeypatch.setattr(verify, "_connection_search", recording)
+    inst = reduce_all(grid(8, 8))[0]
+    g, s, t = inst.graph, inst.s, inst.t
+    for cyc, (sp, tp) in _DEEP_PAIRS:
+        searched.clear()
+        # no cap or budget: the search answers, and raises no CapExceededError
+        got = entry_exit_pairs(Instance(g, s, t), cyc)
+        assert (sp, tp) in searched, (cyc, sp, tp)
+        rest = set(range(g.n)) - set(cyc)
+        want = two_disjoint_paths(g, s, sp, tp, t, (rest - {t}) | {sp}, (rest - {s}) | {tp})
+        assert ((sp, tp) in got) == want, (cyc, sp, tp)
+
+
 def _terminal_cycles(inst: Instance):
     """FVS-family cycles through exactly one of s and t."""
     return [c for c in _fvs_cycles(inst) if (inst.s in c) != (inst.t in c)]
@@ -359,7 +390,7 @@ def test_cycles_through_s_or_t_are_answered_from_the_sides(monkeypatch):
 
 
 def test_probe_paths_run_once_per_endpoint(monkeypatch):
-    probes = []  # (src, dst) of every shortest path; the DFS and DP are stubbed out
+    probes = []  # (src, dst) of every shortest path; the DFS is stubbed out
     path = verify._shortest_path
 
     def recording(graph, src, dst, *args):
